@@ -139,17 +139,26 @@ def check_route(route: dict, floors: dict) -> None:
     """The wire-aware signoff section from bench_route.
 
     Connectivity, the independent open/short oracle, the wire DRC deck,
-    byte-determinism of a repeated route, and routed-never-faster-than-
-    ideal are correctness contracts and gate everywhere, always. The
-    nets/sec floor is absolute and set well below a modest single core
-    (measured ~40-55k nets/sec through route()+extract() on both the
-    13-gate and 10k-gate workloads).
+    byte-determinism of a repeated route, routed-never-faster-than-ideal
+    and every end-to-end routed flow reaching Exported clean are
+    correctness contracts and gate everywhere, always. The nets/sec floor
+    is absolute and set well below a modest single core (measured
+    ~40-55k nets/sec through route()+extract() on both the 13-gate and
+    10k-gate workloads). The wire deck must be no slower than route() on
+    the 10k-gate adder (an in-run ratio, host-independent), and the whole
+    routed 10k-gate compile stays under an absolute ceiling.
     """
     for flag in ["connectivity_complete", "verify_ok", "drc_clean",
-                 "deterministic", "routed_never_faster"]:
+                 "deterministic", "routed_never_faster", "e2e_ok"]:
         check_flag(f"route.{flag}", route[flag])
     check_floor("route.min_nets_per_sec", route["min_nets_per_sec"],
                 floors["min_nets_per_sec"], unit="")
+    rca = route["rca10k"]
+    check_ceiling("route.rca10k.check_routes_over_route",
+                  rca["check_routes_ms"] / rca["route_ms"],
+                  floors["max_check_routes_over_route"], unit="x")
+    check_ceiling("route.rca10k.e2e_ms", rca["e2e_ms"],
+                  floors["max_e2e_10k_ms"], unit="ms")
 
 
 def print_table() -> None:

@@ -1,7 +1,10 @@
 #include "drc/drc.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <sstream>
+#include <tuple>
 
 namespace cnfet::drc {
 
@@ -171,37 +174,126 @@ struct RouteShape {
   bool is_via = false;  ///< exempt from the spacing rule, not from shorts
 };
 
-/// Sweep one layer's shapes for spacing/short violations. `key` projects
-/// the sweep axis (the axis *across* the layer's preferred direction, so a
-/// shape's key interval stays narrow and the scan window small).
-template <typename KeyLo, typename KeyHi>
-void sweep_layer(std::vector<RouteShape>& shapes, Coord spacing,
-                 KeyLo key_lo, KeyHi key_hi, const std::string& layer_name,
-                 DrcReport& report) {
+constexpr Coord axis_of(geom::Vec2 v, int axis) {
+  return axis == 0 ? v.x : v.y;
+}
+
+/// The active set of the sweep: a max-segment tree over the layer's shapes
+/// in cross-track-lo order. A leaf holds its shape's cross-track hi while
+/// the shape is active and kInactive otherwise, so a query prunes every
+/// subtree with no active shape reaching far enough. One flat array,
+/// allocated once per layer.
+class ActiveSet {
+ public:
+  static constexpr Coord kInactive = std::numeric_limits<Coord>::min();
+
+  explicit ActiveSet(std::size_t n)
+      : leaves_(std::bit_ceil(std::max<std::size_t>(n, 1))),
+        max_hi_(2 * leaves_, kInactive) {}
+
+  void set(std::size_t rank, Coord cross_hi) {
+    std::size_t node = rank + leaves_;
+    max_hi_[node] = cross_hi;
+    for (node /= 2; node > 0; node /= 2) {
+      max_hi_[node] = std::max(max_hi_[2 * node], max_hi_[2 * node + 1]);
+    }
+  }
+
+  /// Calls visit(rank) for every active rank below `end` whose cross-track
+  /// hi is at least `min_hi`, in ascending rank order. `visit` may
+  /// deactivate the rank it is given.
+  template <typename Visit>
+  void report(std::size_t end, Coord min_hi, Visit&& visit) {
+    report(1, 0, leaves_, end, min_hi, visit);
+  }
+
+ private:
+  template <typename Visit>
+  void report(std::size_t node, std::size_t lo, std::size_t hi,
+              std::size_t end, Coord min_hi, Visit& visit) {
+    if (lo >= end || max_hi_[node] < min_hi) return;
+    if (node >= leaves_) {
+      visit(node - leaves_);
+      return;
+    }
+    const std::size_t mid = lo + (hi - lo) / 2;
+    report(2 * node, lo, mid, end, min_hi, visit);
+    report(2 * node + 1, mid, hi, end, min_hi, visit);
+  }
+
+  std::size_t leaves_;
+  std::vector<Coord> max_hi_;
+};
+
+/// Spacing/short rules for one pair of same-layer shapes. The violation is
+/// named and placed by the lower net id, so it does not depend on the order
+/// the sweep met the pair in.
+void check_pair(const RouteShape& a, const RouteShape& b, Coord spacing,
+                const char* layer_name, std::vector<Violation>& out) {
+  if (a.net == b.net) return;
+  const RouteShape& first = a.net < b.net ? a : b;
+  const RouteShape& second = a.net < b.net ? b : a;
+  const std::string nets = "nets " + std::to_string(first.net) + " and " +
+                           std::to_string(second.net);
+  if (a.rect.touches(b.rect)) {
+    out.push_back(Violation{RuleId::kWireShort,
+                            nets + " touch on " + layer_name, first.rect});
+  } else if (!a.is_via && !b.is_via &&
+             a.rect.expanded(spacing).overlaps(b.rect)) {
+    out.push_back(Violation{RuleId::kWireSpacing,
+                            nets + " below wire spacing on " + layer_name,
+                            first.rect});
+  }
+}
+
+/// Two-axis scanline over one layer. Shapes arrive in along-track lo
+/// order, and each arrival is tested against the active shapes whose
+/// cross-track interval, widened by `reach`, meets its own. `reach` is the
+/// largest gap (on both axes) at which a pair can still violate a rule: a
+/// short needs gap <= 0 and a spacing violation gap < spacing. A shape
+/// found to end more than `reach` before the arrival starts can meet no
+/// later arrival either, so it leaves the active set then, once. Correct
+/// for arbitrary rectangles; O((n + k) log n) in shapes n and pairs k that
+/// come within reach of each other.
+void sweep_layer(std::vector<RouteShape>& shapes, int along_axis,
+                 Coord spacing, const char* layer_name,
+                 std::vector<Violation>& out) {
+  const int cross_axis = 1 - along_axis;
+  const Coord reach = std::max<Coord>(spacing - 1, 0);
+  // A shape's rank in the active set is its index in cross-lo order.
   std::sort(shapes.begin(), shapes.end(),
             [&](const RouteShape& a, const RouteShape& b) {
-              return key_lo(a.rect) < key_lo(b.rect);
+              return axis_of(a.rect.lo(), cross_axis) <
+                     axis_of(b.rect.lo(), cross_axis);
             });
+  // (along-track lo, rank) in arrival order.
+  std::vector<std::pair<Coord, std::size_t>> arrivals(shapes.size());
   for (std::size_t i = 0; i < shapes.size(); ++i) {
-    for (std::size_t j = i + 1; j < shapes.size(); ++j) {
-      if (key_lo(shapes[j].rect) > key_hi(shapes[i].rect) + spacing) break;
-      if (shapes[i].net == shapes[j].net) continue;
-      if (shapes[i].rect.touches(shapes[j].rect)) {
-        report.violations.push_back(Violation{
-            RuleId::kWireShort,
-            "nets " + std::to_string(shapes[i].net) + " and " +
-                std::to_string(shapes[j].net) + " touch on " + layer_name,
-            shapes[i].rect});
-      } else if (!shapes[i].is_via && !shapes[j].is_via &&
-                 shapes[i].rect.expanded(spacing).overlaps(shapes[j].rect)) {
-        report.violations.push_back(Violation{
-            RuleId::kWireSpacing,
-            "nets " + std::to_string(shapes[i].net) + " and " +
-                std::to_string(shapes[j].net) + " below wire spacing on " +
-                layer_name,
-            shapes[i].rect});
-      }
-    }
+    arrivals[i] = {axis_of(shapes[i].rect.lo(), along_axis), i};
+  }
+  std::sort(arrivals.begin(), arrivals.end());
+
+  ActiveSet active(shapes.size());
+  for (const auto& [along_lo, i] : arrivals) {
+    const Rect& rect = shapes[i].rect;
+    const Coord cross_limit = axis_of(rect.hi(), cross_axis) + reach;
+    const auto end = std::upper_bound(
+        shapes.begin(), shapes.end(), cross_limit,
+        [&](Coord limit, const RouteShape& s) {
+          return limit < axis_of(s.rect.lo(), cross_axis);
+        });
+    active.report(static_cast<std::size_t>(end - shapes.begin()),
+                  axis_of(rect.lo(), cross_axis) - reach,
+                  [&](std::size_t j) {
+                    if (axis_of(shapes[j].rect.hi(), along_axis) + reach <
+                        along_lo) {
+                      active.set(j, ActiveSet::kInactive);
+                    } else {
+                      check_pair(shapes[i], shapes[j], spacing, layer_name,
+                                 out);
+                    }
+                  });
+    active.set(i, axis_of(rect.hi(), cross_axis));
   }
 }
 
@@ -213,9 +305,8 @@ DrcReport check_routes(const route::RoutingResult& routing,
   const Coord min_width = rules.db(rules.wire_width);
   const Coord spacing = rules.db(rules.wire_spacing);
 
-  // Flatten per layer. metal2 (layer 0) is horizontal-preferred, so its
-  // sweep axis is y (narrow per shape); metal3 sweeps in x. Vias land on
-  // both layers.
+  // Flatten per layer. metal2 (layer 0) runs horizontally, so it sweeps
+  // along x; metal3 sweeps along y. Vias land on both layers.
   std::vector<RouteShape> layer0;
   std::vector<RouteShape> layer1;
   for (const auto& rn : routing.nets) {
@@ -233,12 +324,14 @@ DrcReport check_routes(const route::RoutingResult& routing,
       layer1.push_back({rn.net, v.rect(), true});
     }
   }
-  sweep_layer(
-      layer0, spacing, [](const Rect& r) { return r.lo().y; },
-      [](const Rect& r) { return r.hi().y; }, "metal2", report);
-  sweep_layer(
-      layer1, spacing, [](const Rect& r) { return r.lo().x; },
-      [](const Rect& r) { return r.hi().x; }, "metal3", report);
+  sweep_layer(layer0, 0, spacing, "metal2", report.violations);
+  sweep_layer(layer1, 1, spacing, "metal3", report.violations);
+  // Canonical order: by rule, then location, then text.
+  std::sort(report.violations.begin(), report.violations.end(),
+            [](const Violation& a, const Violation& b) {
+              return std::tie(a.rule, a.where, a.detail) <
+                     std::tie(b.rule, b.where, b.detail);
+            });
   return report;
 }
 

@@ -36,6 +36,7 @@ struct Violation {
   RuleId rule;
   std::string detail;
   geom::Rect where;
+  bool operator==(const Violation&) const = default;
 };
 
 struct DrcReport {
@@ -61,7 +62,10 @@ struct DrcOptions {
 /// wide; same-layer wires of distinct nets at least wire_spacing apart
 /// (vias are exempt from the spacing rule — on the standard pitch their
 /// slightly-larger landing pads legally sit closer than wire_spacing —
-/// but not from shorts); no touching metal between distinct nets.
+/// but not from shorts); no touching metal between distinct nets. A pair
+/// violation names the lower net id first and sits at that net's shape;
+/// the list is sorted by (rule, where, detail), so it does not depend on
+/// the order nets or shapes are stored in.
 [[nodiscard]] DrcReport check_routes(const route::RoutingResult& routing,
                                      const layout::DesignRules& rules);
 

@@ -89,6 +89,8 @@ class Rect {
   }
 
   constexpr bool operator==(const Rect&) const = default;
+  /// Lexicographic by (lo, hi): a total order for canonical sorting.
+  constexpr auto operator<=>(const Rect&) const = default;
 
   [[nodiscard]] std::string to_string() const;
 

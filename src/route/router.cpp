@@ -746,22 +746,32 @@ VerifyReport verify(const flow::GateNetlist& netlist,
   }
 
   // Shorts: shapes of distinct nets touching on a layer. On the uniform
-  // grid a shape's vertical extent never reaches the next track, so only
-  // same-track-bucket pairs can touch; bucket by (layer, row) and sweep.
+  // grid a shape's cross-track extent never reaches the next track, so
+  // only pairs on one track can touch: bucket metal2 by row and metal3 by
+  // column, and sweep each track along its direction.
+  const auto track = [&](const IndexedShape& s) {
+    const geom::Vec2 c = s.rect.center();
+    return (s.layer == 0 ? c.y : c.x) / pitch;
+  };
+  const auto along_lo = [](const IndexedShape& s) {
+    return s.layer == 0 ? s.rect.lo().x : s.rect.lo().y;
+  };
+  const auto along_hi = [](const IndexedShape& s) {
+    return s.layer == 0 ? s.rect.hi().x : s.rect.hi().y;
+  };
   std::sort(all.begin(), all.end(), [&](const auto& a, const auto& b) {
-    const geom::Coord ra = a.rect.center().y / pitch;
-    const geom::Coord rb = b.rect.center().y / pitch;
     if (a.layer != b.layer) return a.layer < b.layer;
-    if (ra != rb) return ra < rb;
-    return a.rect.lo().x < b.rect.lo().x;
+    const geom::Coord ta = track(a), tb = track(b);
+    if (ta != tb) return ta < tb;
+    return along_lo(a) < along_lo(b);
   });
   std::vector<std::pair<int, int>> shorted;
   for (std::size_t i = 0; i < all.size(); ++i) {
-    const geom::Coord row_i = all[i].rect.center().y / pitch;
+    const geom::Coord track_i = track(all[i]);
     for (std::size_t j = i + 1; j < all.size(); ++j) {
       if (all[j].layer != all[i].layer) break;
-      if (all[j].rect.center().y / pitch != row_i) break;
-      if (all[j].rect.lo().x > all[i].rect.hi().x) break;
+      if (track(all[j]) != track_i) break;
+      if (along_lo(all[j]) > along_hi(all[i])) break;
       if (all[j].net == all[i].net) continue;
       if (all[i].rect.touches(all[j].rect)) {
         shorted.emplace_back(std::min(all[i].net, all[j].net),
