@@ -8,14 +8,18 @@
 
 namespace cnfet::api {
 
+util::Result<Flow> Flow::from_job(const FlowJob& job) {
+  return job.cell.empty()
+             ? from_expressions(job.outputs, job.inputs, job.options)
+             : from_cell(job.cell, job.options);
+}
+
 namespace {
 
 JobOutcome run_one(const FlowJob& job) {
   JobOutcome outcome;
   outcome.name = job.name;
-  auto flow = job.cell.empty()
-                  ? Flow::from_expressions(job.outputs, job.inputs, job.options)
-                  : Flow::from_cell(job.cell, job.options);
+  auto flow = Flow::from_job(job);
   if (!flow.ok()) {
     outcome.diagnostics.add(flow.error());
     return outcome;

@@ -218,6 +218,8 @@ struct FlowMetrics {
   std::size_t gds_structures = 0;
 };
 
+struct FlowJob;  // api/batch.hpp
+
 /// The stage-typed logic-to-GDSII pipeline. Construct with one of the
 /// factories, then either step (`map()`, `time()`, ...) or `run()` to a
 /// target stage; read artifacts through the const accessors.
@@ -232,6 +234,10 @@ class Flow {
   /// "give me an immune NAND3" as a single call.
   [[nodiscard]] static util::Result<Flow> from_cell(const std::string& name,
                                                     FlowOptions options = {});
+
+  /// Compiles a job's source: its `cell` when set, else its expression
+  /// specification. (Implemented in api/batch.cpp.)
+  [[nodiscard]] static util::Result<Flow> from_job(const FlowJob& job);
 
   /// Adopts an already-built gate netlist (e.g. flow::build_full_adder) at
   /// stage Mapped. The netlist must reference cells of `options.library`

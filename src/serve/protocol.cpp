@@ -2,6 +2,8 @@
 
 #include <initializer_list>
 
+#include "api/serialize.hpp"
+
 namespace cnfet::serve {
 
 namespace json = util::json;
@@ -98,27 +100,13 @@ json::Value response_envelope(const std::string& kind, const std::string& id,
   return v;
 }
 
-json::Value diagnostics_to_json(const util::Diagnostics& diags) {
-  // Mirrors api::to_json(util::Diagnostics) — duplicated here so the wire
-  // layer does not pull the whole artifact serializer into every client.
-  json::Value arr = json::Value::array();
-  for (const auto& d : diags.items()) {
-    json::Value v = json::Value::object();
-    v.set("severity", util::to_string(d.severity));
-    v.set("stage", d.stage);
-    v.set("message", d.message);
-    arr.push_back(std::move(v));
-  }
-  return arr;
-}
-
 }  // namespace
 
 json::Value ok_response(const Request& request, json::Value result,
                         const util::Diagnostics& diags) {
   json::Value v = response_envelope(to_string(request.kind), request.id, true);
   v.set("result", std::move(result));
-  v.set("diagnostics", diagnostics_to_json(diags));
+  v.set("diagnostics", api::to_json(diags));
   return v;
 }
 
@@ -126,7 +114,7 @@ json::Value error_response(const std::string& kind, const std::string& id,
                            const util::Diagnostics& diags) {
   json::Value v = response_envelope(kind, id, false);
   v.set("result", json::Value::object());
-  v.set("diagnostics", diagnostics_to_json(diags));
+  v.set("diagnostics", api::to_json(diags));
   return v;
 }
 

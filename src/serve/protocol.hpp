@@ -23,14 +23,21 @@
 //   sta          {job: <FlowJob>}            -> result {metrics, sta}
 //   monte_carlo  {cell, trials, seed, threads} -> result {trials, ...,
 //                 mc: <MonteCarloResult>} — "mc" is the full serialized
-//                 result (per-trial histograms included) and dumps
-//                 byte-identical to a local run of the same parameters
+//                 result (per-trial histograms included); trials is
+//                 capped at RequestLimits::kMaxTrials
 //   batch        {jobs: [<FlowJob>...], num_threads, fail_fast}
 //                                            -> result {report}
 //   gen          {gen: <GenOptions>, options: <FlowOptions>?,
 //                 target: "<stage>"?}        -> result like compile (the
-//                 generated reference netlist is adopted at Mapped)
+//                 generated reference netlist is adopted at Mapped). The
+//                 top name follows Flow::from_cell's rule: "TOP" (the
+//                 default) names the GDS top after the design ("rca16"),
+//                 any other name is kept. Sizes are capped by
+//                 RequestLimits before the generator allocates
 //   shutdown     -> result {stopping}; the daemon then drains and exits
+//
+// serve::execute (serve/execute.hpp) is the one implementation of the flow
+// kinds; ping, stats and shutdown are answered by the server itself.
 //
 // Error responses (ok=false) carry the structured util::Diagnostics that
 // explain the failure; a malformed or hostile request line gets an error
@@ -60,6 +67,23 @@ struct WireLimits {
   [[nodiscard]] util::json::ParseLimits parse_limits() const {
     return {max_json_depth, max_request_bytes};
   }
+};
+
+/// Ceilings on the work one request may ask for, checked by serve::execute
+/// before anything is allocated. Constants, not options: they bound hostile
+/// input rather than tune the server. Each admits the largest tiers the
+/// repository runs (`gen --family rca --width 1112` is 10,008 gates, the
+/// README's `--family rand --gates 10000`) with room to spare.
+struct RequestLimits {
+  /// Monte Carlo trials per request.
+  static constexpr int kMaxTrials = 10'000'000;
+  /// Operand width of the adder families (rca, cla).
+  static constexpr int kMaxAdderWidth = 4096;
+  /// Operand width of the array multiplier (~11 N^2 gates).
+  static constexpr int kMaxMultiplierWidth = 64;
+  /// Gate and primary-input counts of a random DAG.
+  static constexpr int kMaxRandomGates = 50'000;
+  static constexpr int kMaxRandomInputs = 4096;
 };
 
 enum class RequestKind {

@@ -1,77 +1,14 @@
 #include "serve/server.hpp"
 
 #include <future>
-#include <sstream>
 #include <utility>
 
-#include "api/batch.hpp"
-#include "api/serialize.hpp"
-#include "cnt/analyzer.hpp"
-#include "gds/gds.hpp"
-#include "layout/cells.hpp"
+#include "api/library_cache.hpp"
+#include "serve/execute.hpp"
 
 namespace cnfet::serve {
 
 namespace json = util::json;
-
-namespace {
-
-/// Handlers follow the api:: boundary contract — no exception escapes a
-/// request; anything thrown becomes an error response for THIS request
-/// while the connection and the server live on.
-template <typename Fn>
-json::Value guarded(const Request& request, Fn&& fn) {
-  try {
-    return fn();
-  } catch (const std::exception& e) {
-    return error_response(to_string(request.kind), request.id, "serve",
-                          e.what());
-  }
-}
-
-/// The GDS stream as bytes in memory — the same gds::write a local
-/// Flow::write_gds performs, minus the file.
-std::string gds_bytes(const api::Flow& flow) {
-  std::ostringstream out(std::ios::binary);
-  gds::write(flow.exported()->gds, out);
-  return out.str();
-}
-
-/// Shared tail of compile/resume: run to `target`, package stage, metrics,
-/// session payload and (when exported) the GDS stream.
-json::Value finish_flow_request(const Request& request, api::Flow& flow,
-                                api::Stage target) {
-  const auto reached = flow.run(target);
-  json::Value result = json::Value::object();
-  result.set("reached", api::to_string(flow.stage()));
-  result.set("metrics", api::to_json(flow.metrics()));
-  auto session = flow.session_json();
-  if (session.ok()) {
-    result.set("session", std::move(session).value());
-  }
-  if (flow.exported() != nullptr) {
-    result.set("gds_hex", to_hex(gds_bytes(flow)));
-  }
-  if (!reached.ok() || !session.ok()) {
-    util::Diagnostics diags = flow.diagnostics();
-    if (!session.ok()) diags.add(session.error());
-    json::Value response = error_response(to_string(request.kind), request.id,
-                                          diags);
-    response.set("result", std::move(result));
-    return response;
-  }
-  return ok_response(request, std::move(result), flow.diagnostics());
-}
-
-api::Stage target_from(const json::Value& payload, api::Stage fallback) {
-  const json::Value* target = payload.find("target");
-  if (target == nullptr) return fallback;
-  auto stage = api::stage_from_string(target->as_string());
-  if (!stage.ok()) throw util::Error(stage.error().message);
-  return stage.value();
-}
-
-}  // namespace
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {}
 
@@ -290,7 +227,7 @@ json::Value Server::dispatch_flow_request(const Request& request) {
   std::promise<json::Value> promise;
   std::future<json::Value> future = promise.get_future();
   const bool submitted = pool_->try_submit([this, &request, &promise] {
-    promise.set_value(handle_request(request));
+    promise.set_value(execute(request));
   });
   if (!submitted) {
     in_flight_.fetch_sub(1);
@@ -300,180 +237,6 @@ json::Value Server::dispatch_flow_request(const Request& request) {
   json::Value response = future.get();
   in_flight_.fetch_sub(1);
   return response;
-}
-
-json::Value Server::handle_request(const Request& request) {
-  switch (request.kind) {
-    case RequestKind::kCompile:
-      return handle_compile(request);
-    case RequestKind::kResume:
-      return handle_resume(request);
-    case RequestKind::kSta:
-      return handle_sta(request);
-    case RequestKind::kMonteCarlo:
-      return handle_monte_carlo(request);
-    case RequestKind::kBatch:
-      return handle_batch(request);
-    case RequestKind::kGen:
-      return handle_gen(request);
-    default:
-      return error_response(to_string(request.kind), request.id, "serve",
-                            "request kind is not pool-dispatched");
-  }
-}
-
-json::Value Server::handle_compile(const Request& request) {
-  return guarded(request, [&] {
-    const api::FlowJob job =
-        api::flow_job_from_json(request.payload.at("job"));
-    auto flow = job.cell.empty()
-                    ? api::Flow::from_expressions(job.outputs, job.inputs,
-                                                  job.options)
-                    : api::Flow::from_cell(job.cell, job.options);
-    if (!flow.ok()) {
-      util::Diagnostics diags;
-      diags.add(flow.error());
-      return error_response(to_string(request.kind), request.id, diags);
-    }
-    return finish_flow_request(request, flow.value(), job.target);
-  });
-}
-
-json::Value Server::handle_resume(const Request& request) {
-  return guarded(request, [&] {
-    auto flow =
-        api::Flow::resume_json(request.payload.at("session"), "<request>");
-    if (!flow.ok()) {
-      util::Diagnostics diags;
-      diags.add(flow.error());
-      return error_response(to_string(request.kind), request.id, diags);
-    }
-    // Optional routing override (cnfetc resume --route): flips the knob
-    // before the remaining stages run, same as the local path.
-    if (const json::Value* r = request.payload.find("route")) {
-      flow.value().set_route(r->as_bool());
-    }
-    const api::Stage target =
-        target_from(request.payload, api::Stage::kExported);
-    return finish_flow_request(request, flow.value(), target);
-  });
-}
-
-json::Value Server::handle_gen(const Request& request) {
-  return guarded(request, [&] {
-    const gen::GenOptions gopt =
-        api::gen_options_from_json(request.payload.at("gen"));
-    api::FlowOptions options;
-    if (const json::Value* o = request.payload.find("options")) {
-      options = api::flow_options_from_json(*o);
-    }
-    // The generator needs the characterized library up front (the flow
-    // would otherwise resolve it itself inside from_netlist).
-    auto library = api::LibraryCache::global().get(options.tech);
-    if (!library.ok()) {
-      util::Diagnostics diags;
-      diags.add(library.error());
-      return error_response(to_string(request.kind), request.id, diags);
-    }
-    options.library = library.value();
-    gen::Generated design = gen::generate(*options.library, gopt);
-    if (options.top_name == "TOP") options.top_name = design.name;
-    auto flow =
-        api::Flow::from_netlist(std::move(design.netlist), options);
-    if (!flow.ok()) {
-      util::Diagnostics diags;
-      diags.add(flow.error());
-      return error_response(to_string(request.kind), request.id, diags);
-    }
-    const api::Stage target =
-        target_from(request.payload, api::Stage::kExported);
-    return finish_flow_request(request, flow.value(), target);
-  });
-}
-
-json::Value Server::handle_sta(const Request& request) {
-  return guarded(request, [&] {
-    const api::FlowJob job =
-        api::flow_job_from_json(request.payload.at("job"));
-    auto flow = job.cell.empty()
-                    ? api::Flow::from_expressions(job.outputs, job.inputs,
-                                                  job.options)
-                    : api::Flow::from_cell(job.cell, job.options);
-    if (!flow.ok()) {
-      util::Diagnostics diags;
-      diags.add(flow.error());
-      return error_response(to_string(request.kind), request.id, diags);
-    }
-    auto& f = flow.value();
-    const auto reached = f.run(api::Stage::kTimed);
-    if (!reached.ok()) {
-      return error_response(to_string(request.kind), request.id,
-                            f.diagnostics());
-    }
-    json::Value result = json::Value::object();
-    result.set("metrics", api::to_json(f.metrics()));
-    result.set("sta", api::to_json(f.timed()->timing));
-    return ok_response(request, std::move(result), f.diagnostics());
-  });
-}
-
-json::Value Server::handle_monte_carlo(const Request& request) {
-  return guarded(request, [&] {
-    const std::string& cell = request.payload.get_string("cell");
-    const int trials = request.payload.get_int("trials");
-    if (trials < 0 || trials > 10'000'000) {
-      throw util::Error("trials must be in [0, 10000000], got " +
-                        std::to_string(trials));
-    }
-    std::uint64_t seed = 1;
-    if (const json::Value* s = request.payload.find("seed")) {
-      seed = static_cast<std::uint64_t>(s->as_int64());
-    }
-    int threads = 1;
-    if (const json::Value* t = request.payload.find("threads")) {
-      threads = t->as_int();
-    }
-    const auto built = layout::build_cell(layout::find_cell_spec(cell));
-    const auto mc =
-        cnt::monte_carlo(built.layout, built.netlist, built.function,
-                         cnt::TubeModel{}, trials, seed, threads);
-    json::Value result = json::Value::object();
-    result.set("cell", cell);
-    result.set("trials", mc.trials);
-    result.set("failing_trials", mc.failing_trials);
-    result.set("tubes_sampled", mc.tubes_sampled);
-    result.set("stray_shorts", mc.stray_shorts);
-    result.set("stray_chains", mc.stray_chains);
-    result.set("yield", mc.yield());
-    // The full serialized result (histograms included), in exactly the
-    // shape `cnfetc monte-carlo` writes locally: a served run's "mc"
-    // object dumps byte-identical to a local run with the same
-    // (cell, trials, seed), which the CI smoke test compares.
-    result.set("mc", api::to_json(mc));
-    return ok_response(request, std::move(result), {});
-  });
-}
-
-json::Value Server::handle_batch(const Request& request) {
-  return guarded(request, [&] {
-    std::vector<api::FlowJob> jobs;
-    for (const auto& job : request.payload.at("jobs").items()) {
-      jobs.push_back(api::flow_job_from_json(job));
-    }
-    api::BatchOptions options;
-    if (const json::Value* n = request.payload.find("num_threads")) {
-      options.num_threads = n->as_int();
-    }
-    if (const json::Value* f = request.payload.find("fail_fast")) {
-      options.fail_fast = f->as_bool();
-    }
-    const api::FlowReport report = api::run_batch(jobs, options);
-    json::Value result = json::Value::object();
-    result.set("report", api::to_json(report));
-    result.set("num_ok", report.num_ok());
-    result.set("num_failed", report.num_failed());
-    return ok_response(request, std::move(result), {});
-  });
 }
 
 json::Value Server::handle_stats(const Request& request) {

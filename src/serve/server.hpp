@@ -1,19 +1,25 @@
 // The cnfetd compile server: one process, one warm api::LibraryCache,
 // many concurrent clients.
 //
+// One engine, two transports. serve::execute (serve/execute.hpp) is the
+// only implementation of the flow requests; `cnfetc` calls it in-process
+// when run without --server, and this Server is the other transport: it
+// owns sockets, framing, admission and drain, and nothing else.
+//
 // Architecture (the ActiveObject per-connection shape):
 //
 //   accept thread ──> one reader thread per connection
 //                         │  parses request lines (WireLimits-bounded)
 //                         │  answers ping/stats/shutdown inline
-//                         └─ dispatches flow work onto the shared
-//                            util::ThreadPool, waits for the result,
-//                            writes the response — so requests on ONE
-//                            connection are answered in order while
-//                            connections compete for pool workers.
+//                         └─ hands the parsed Request to serve::execute
+//                            on the shared util::ThreadPool, waits for
+//                            the result, writes the response — so
+//                            requests on ONE connection are answered in
+//                            order while connections compete for pool
+//                            workers.
 //
-// Backpressure: flow requests (compile/resume/sta/monte_carlo/batch) are
-// admitted only while fewer than `max_pending` are queued or running;
+// Backpressure: flow requests (compile/resume/gen/sta/monte_carlo/batch)
+// are admitted only while fewer than `max_pending` are queued or running;
 // beyond that the server answers an immediate structured "overloaded"
 // error instead of buffering unbounded work. ping/stats/shutdown bypass
 // admission so health checks and graceful stops still answer under load.
@@ -24,10 +30,10 @@
 // request finish and write its response, joins all threads, and drains
 // the pool. Nothing accepted is ever dropped.
 //
-// Determinism contract: a served compile runs the same api::Flow against
-// the same LibraryCache::global() library as a local `cnfetc compile`, so
-// the response's GDS bytes and FlowMetrics are byte-identical to the
-// direct CLI's (tested in tests/test_serve.cpp, gated in CI).
+// Determinism contract: a served request runs the same serve::execute
+// against the same LibraryCache::global() library as a local `cnfetc`
+// run, so the response — GDS bytes, session, FlowMetrics — is
+// byte-identical to the local one (tests/test_serve.cpp, gated in CI).
 #pragma once
 
 #include <atomic>
@@ -112,16 +118,9 @@ class Server {
   void serve_connection(Connection* connection);
   /// One request line -> one response line (written by the caller).
   [[nodiscard]] std::string handle_line(const std::string& line);
-  /// Runs a flow-kind request on the pool (admission + draining checks).
+  /// Runs a flow-kind request through serve::execute on the pool
+  /// (admission + draining checks).
   [[nodiscard]] util::json::Value dispatch_flow_request(const Request& request);
-  /// The actual request handlers (run on pool workers).
-  [[nodiscard]] util::json::Value handle_request(const Request& request);
-  [[nodiscard]] util::json::Value handle_compile(const Request& request);
-  [[nodiscard]] util::json::Value handle_resume(const Request& request);
-  [[nodiscard]] util::json::Value handle_sta(const Request& request);
-  [[nodiscard]] util::json::Value handle_monte_carlo(const Request& request);
-  [[nodiscard]] util::json::Value handle_batch(const Request& request);
-  [[nodiscard]] util::json::Value handle_gen(const Request& request);
   [[nodiscard]] util::json::Value handle_stats(const Request& request);
 
   /// Joins finished connection threads (called from the accept loop's

@@ -37,6 +37,9 @@ expect "jobs without --out"   2 -- "$CNFETC" jobs
 expect "ping without server"  2 -- "$CNFETC" ping
 expect "stop without server"  2 -- "$CNFETC" stop
 expect "serve bad port"       2 -- "$CNFETC" serve --port 99999
+expect "serve bad timeout"    2 -- "$CNFETC" serve --idle-timeout-ms banana
+expect "serve bad max-conns"  2 -- "$CNFETC" serve --max-connections many
+expect "monte-carlo --naive"  2 -- "$CNFETC" monte-carlo --cell NAND3 --naive
 expect "help exits 0"         0 -- "$CNFETC" help
 expect "--help exits 0"       0 -- "$CNFETC" --help
 
@@ -44,6 +47,9 @@ expect "--help exits 0"       0 -- "$CNFETC" --help
 # not 2 — and a client pointed at a dead endpoint is such a failure.
 expect "unknown cell is 1"    1 -- "$CNFETC" compile --cell NO_SUCH_CELL --out /tmp/cli_test_dir.$$
 expect "dead server is 1"     1 -- "$CNFETC" ping --server 127.0.0.1:1
+# Request ceilings (serve::RequestLimits) refuse in-process as served.
+expect "trials over ceiling"  1 -- "$CNFETC" monte-carlo --cell NAND3 --trials 20000000
+expect "gen over ceiling"     1 -- "$CNFETC" gen --family rca --width 2000000000 --out /tmp/cli_test_dir.$$
 rm -rf "/tmp/cli_test_dir.$$"
 
 # help goes to stdout, usage errors to stderr

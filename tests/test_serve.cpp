@@ -1,11 +1,12 @@
 // The cnfetd compile server: wire framing, untrusted-input hardening,
-// request dispatch, the byte-identity contract against the local flow
-// path, and the graceful-shutdown guarantees.
+// request dispatch, the request engine (serve::execute) answering the
+// same bytes served and in-process, and the graceful-shutdown guarantees.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,8 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "api/serialize.hpp"
+#include "cnt/analyzer.hpp"
 #include "gds/gds.hpp"
+#include "layout/cells.hpp"
 #include "serve/client.hpp"
+#include "serve/execute.hpp"
 #include "serve/server.hpp"
 #include "util/json.hpp"
 #include "util/net.hpp"
@@ -285,18 +289,21 @@ TEST_F(ServeTest, OverloadedServerRejectsFlowsButStillAnswersPing) {
   EXPECT_EQ(server_->stats().rejected_overload, 1);
 }
 
-// --- the byte-identity contract -------------------------------------------
+// --- one engine, two transports --------------------------------------------
 
-/// GDS bytes the way `cnfetc compile` writes them: through Flow::write_gds
-/// to a file. The daemon must reproduce these exactly.
-std::string direct_gds_bytes(const std::string& cell, layout::Tech tech) {
+/// GDS bytes the way a hand-run api::Flow writes them: through
+/// Flow::write_gds to a file. The engine must reproduce these exactly.
+std::string direct_gds_bytes(const std::string& cell, layout::Tech tech,
+                             bool route = false) {
   api::FlowOptions options;
   options.tech = tech;
+  options.route = route;
   auto flow = api::Flow::from_cell(cell, options);
   EXPECT_TRUE(flow.ok());
   EXPECT_TRUE(flow.value().run(api::Stage::kExported).ok());
   const auto dir = std::filesystem::temp_directory_path() /
-                   ("serve_identity_" + cell + std::to_string(int(tech)));
+                   ("serve_identity_" + cell + std::to_string(int(tech)) +
+                    (route ? "_routed" : ""));
   std::filesystem::create_directories(dir);
   const auto path = (dir / "design.gds").string();
   EXPECT_TRUE(flow.value().write_gds(path).ok());
@@ -307,119 +314,294 @@ std::string direct_gds_bytes(const std::string& cell, layout::Tech tech) {
   return bytes.str();
 }
 
-json::Value compile_request(const std::string& cell, layout::Tech tech) {
+json::Value compile_request(const std::string& cell, layout::Tech tech,
+                            bool route = false,
+                            api::Stage target = api::Stage::kExported) {
   api::FlowJob job;
   job.cell = cell;
   job.options.tech = tech;
+  job.options.route = route;
+  job.target = target;
   json::Value request = serve::make_request(serve::RequestKind::kCompile);
   request.set("job", api::to_json(job));
   return request;
 }
 
-TEST_F(ServeTest, ServedCompileIsByteIdenticalToTheLocalFlowForBothTechs) {
-  const int port = start();
-  for (const layout::Tech tech :
-       {layout::Tech::kCnfet65, layout::Tech::kCmos65}) {
-    auto c = client(port);
-    auto response = c.call(compile_request("NAND3", tech));
-    ASSERT_TRUE(response.ok());
-    ASSERT_TRUE(response.value().get_bool("ok"))
-        << serve::response_diagnostics(response.value()).to_string();
-    const json::Value& result = response.value().at("result");
-    EXPECT_EQ(result.get_string("reached"), "exported");
-    auto served = serve::from_hex(result.get_string("gds_hex"));
-    ASSERT_TRUE(served.ok());
-    EXPECT_EQ(served.value(), direct_gds_bytes("NAND3", tech))
-        << "tech " << layout::to_string(tech);
-
-    // Metrics match the local run field-for-field.
-    api::FlowOptions options;
-    options.tech = tech;
-    auto flow = api::Flow::from_cell("NAND3", options);
-    ASSERT_TRUE(flow.ok());
-    ASSERT_TRUE(flow.value().run(api::Stage::kExported).ok());
-    EXPECT_EQ(json::dump(result.at("metrics")),
-              json::dump(api::to_json(flow.value().metrics())));
-  }
+/// Runs an envelope through serve::execute the way `cnfetc` does without
+/// --server: in-process, no dump or parse of the request.
+json::Value execute_locally(const json::Value& envelope) {
+  const auto kind = serve::request_kind_from_string(envelope.get_string("kind"));
+  EXPECT_TRUE(kind.ok());
+  const json::Value* id = envelope.find("id");
+  return serve::execute(
+      {kind.value(), id != nullptr ? id->as_string() : "", envelope});
 }
 
-TEST_F(ServeTest, GenRequestMatchesTheLocalGeneratorFlow) {
-  const int port = start();
-  auto c = client(port);
+std::string gds_of(const json::Value& response) {
+  auto bytes = serve::from_hex(response.at("result").get_string("gds_hex"));
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? bytes.value() : std::string();
+}
+
+std::string diagnostics_of(const json::Value& response) {
+  return serve::response_diagnostics(response).to_string();
+}
+
+/// The name of the one GDS structure that instantiates the others.
+std::string gds_top_name(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  const gds::Library library = gds::read(in);
+  std::string top;
+  for (const auto& structure : library.structures) {
+    if (structure.srefs.empty()) continue;
+    EXPECT_TRUE(top.empty()) << "two top structures";
+    top = structure.name;
+  }
+  return top;
+}
+
+/// A flow request and what its (local == served) response must show.
+struct FlowCase {
+  std::string name;
+  json::Value request;
+  std::function<void(const json::Value& response)> check;
+};
+
+std::vector<FlowCase> flow_cases() {
+  std::vector<FlowCase> cases;
+  for (const layout::Tech tech :
+       {layout::Tech::kCnfet65, layout::Tech::kCmos65}) {
+    for (const bool route : {false, true}) {
+      cases.push_back(
+          {std::string("compile NAND3@") + layout::to_string(tech) +
+               (route ? " routed" : ""),
+           compile_request("NAND3", tech, route),
+           [tech, route](const json::Value& response) {
+             ASSERT_TRUE(response.get_bool("ok")) << diagnostics_of(response);
+             const json::Value& result = response.at("result");
+             EXPECT_EQ(result.get_string("reached"), "exported");
+             // The anchor: the engine's GDS is a hand-run Flow::write_gds.
+             EXPECT_EQ(gds_of(response), direct_gds_bytes("NAND3", tech, route));
+             api::FlowOptions options;
+             options.tech = tech;
+             options.route = route;
+             auto flow = api::Flow::from_cell("NAND3", options);
+             ASSERT_TRUE(flow.ok());
+             ASSERT_TRUE(flow.value().run(api::Stage::kExported).ok());
+             EXPECT_EQ(json::dump(result.at("metrics")),
+                       json::dump(api::to_json(flow.value().metrics())));
+             EXPECT_EQ(result.at("metrics").get_bool("routed"), route);
+           }});
+    }
+  }
+
+  // A session compiled to Timed, then resumed to Exported over a request.
+  const json::Value timed = execute_locally(compile_request(
+      "AOI21", layout::Tech::kCnfet65, false, api::Stage::kTimed));
+  cases.push_back({"compile AOI21 to timed", compile_request(
+                       "AOI21", layout::Tech::kCnfet65, false,
+                       api::Stage::kTimed),
+                   [](const json::Value& response) {
+                     ASSERT_TRUE(response.get_bool("ok"));
+                     const json::Value& result = response.at("result");
+                     EXPECT_EQ(result.get_string("reached"), "timed");
+                     EXPECT_NE(result.find("session"), nullptr);
+                     // Nothing exported yet, so no GDS stream.
+                     EXPECT_EQ(result.find("gds_hex"), nullptr);
+                   }});
+  json::Value resume = serve::make_request(serve::RequestKind::kResume);
+  resume.set("session", timed.at("result").at("session"));
+  resume.set("target", "exported");
+  cases.push_back({"resume AOI21 from timed", std::move(resume),
+                   [](const json::Value& response) {
+                     ASSERT_TRUE(response.get_bool("ok"))
+                         << diagnostics_of(response);
+                     EXPECT_EQ(response.at("result").get_string("reached"),
+                               "exported");
+                     EXPECT_EQ(gds_of(response),
+                               direct_gds_bytes("AOI21",
+                                                layout::Tech::kCnfet65));
+                   }});
+
   gen::GenOptions gopt;
   gopt.family = gen::Family::kRandomDag;
   gopt.target_gates = 200;
   gopt.num_inputs = 16;
   gopt.seed = 123;
-  json::Value request = serve::make_request(serve::RequestKind::kGen);
-  request.set("gen", api::to_json(gopt));
-  request.set("target", "placed");
-  auto response = c.call(std::move(request));
-  ASSERT_TRUE(response.ok());
-  ASSERT_TRUE(response.value().get_bool("ok"))
-      << serve::response_diagnostics(response.value()).to_string();
-  const json::Value& result = response.value().at("result");
-  EXPECT_EQ(result.get_string("reached"), "placed");
+  json::Value gen_request = serve::make_request(serve::RequestKind::kGen);
+  gen_request.set("gen", api::to_json(gopt));
+  gen_request.set("target", "placed");
+  cases.push_back(
+      {"gen rand200 to placed", std::move(gen_request),
+       [gopt](const json::Value& response) {
+         ASSERT_TRUE(response.get_bool("ok")) << diagnostics_of(response);
+         const json::Value& result = response.at("result");
+         EXPECT_EQ(result.get_string("reached"), "placed");
+         // The same flow a hand-run generate + from_netlist produces.
+         auto library = api::LibraryCache::global().get(layout::Tech::kCnfet65);
+         ASSERT_TRUE(library.ok());
+         auto design = gen::generate(*library.value(), gopt);
+         api::FlowOptions options;
+         options.library = library.value();
+         options.top_name = design.name;
+         auto local = api::Flow::from_netlist(std::move(design.netlist), options);
+         ASSERT_TRUE(local.ok());
+         ASSERT_TRUE(local.value().run(api::Stage::kPlaced).ok());
+         EXPECT_EQ(json::dump(result.at("metrics")),
+                   json::dump(api::to_json(local.value().metrics())));
+         auto session = local.value().session_json();
+         ASSERT_TRUE(session.ok());
+         EXPECT_EQ(json::dump(result.at("session")),
+                   json::dump(session.value()));
+       }});
+  json::Value bad_gen = serve::make_request(serve::RequestKind::kGen);
+  json::Value fft = api::to_json(gopt);
+  fft.set("family", "fft");
+  bad_gen.set("gen", std::move(fft));
+  cases.push_back({"gen unknown family", std::move(bad_gen),
+                   [](const json::Value& response) {
+                     EXPECT_FALSE(response.get_bool("ok"));
+                     EXPECT_NE(diagnostics_of(response).find("fft"),
+                               std::string::npos);
+                   }});
 
-  // The served session is the same flow a local generate + from_netlist
-  // produces, metrics and session payload alike.
-  auto library = api::LibraryCache::global().get(layout::Tech::kCnfet65);
-  ASSERT_TRUE(library.ok());
-  auto design = gen::generate(*library.value(), gopt);
-  api::FlowOptions options;
-  options.library = library.value();
-  options.top_name = design.name;
-  auto local = api::Flow::from_netlist(std::move(design.netlist), options);
-  ASSERT_TRUE(local.ok());
-  ASSERT_TRUE(local.value().run(api::Stage::kPlaced).ok());
-  EXPECT_EQ(json::dump(result.at("metrics")),
-            json::dump(api::to_json(local.value().metrics())));
-  auto session = local.value().session_json();
-  ASSERT_TRUE(session.ok());
-  EXPECT_EQ(json::dump(result.at("session")),
-            json::dump(session.value()));
+  json::Value sta = serve::make_request(serve::RequestKind::kSta, "sta-1");
+  sta.set("job", compile_request("NAND3", layout::Tech::kCnfet65).at("job"));
+  cases.push_back({"sta NAND3", std::move(sta), [](const json::Value& response) {
+                     ASSERT_TRUE(response.get_bool("ok"));
+                     EXPECT_EQ(response.get_string("id"), "sta-1");
+                     auto flow = api::Flow::from_cell("NAND3");
+                     ASSERT_TRUE(flow.ok());
+                     ASSERT_TRUE(flow.value().run(api::Stage::kTimed).ok());
+                     EXPECT_EQ(
+                         json::dump(response.at("result").at("sta")),
+                         json::dump(api::to_json(flow.value().timed()->timing)));
+                   }});
 
-  // Unknown family comes back as a structured error on a live connection.
-  json::Value bad = serve::make_request(serve::RequestKind::kGen);
-  json::Value bad_gen = api::to_json(gopt);
-  bad_gen.set("family", "fft");
-  bad.set("gen", std::move(bad_gen));
-  auto refused = c.call(std::move(bad));
-  ASSERT_TRUE(refused.ok());
-  EXPECT_FALSE(refused.value().get_bool("ok"));
+  json::Value mc = serve::make_request(serve::RequestKind::kMonteCarlo);
+  mc.set("cell", "NAND3");
+  mc.set("trials", 2000);
+  mc.set("seed", 3);
+  mc.set("threads", 2);
+  cases.push_back(
+      {"monte_carlo NAND3", std::move(mc), [](const json::Value& response) {
+         ASSERT_TRUE(response.get_bool("ok"));
+         const auto served =
+             api::monte_carlo_result_from_json(response.at("result").at("mc"));
+         EXPECT_EQ(served.trials, 2000);
+         EXPECT_FALSE(served.shorts_histogram.empty());
+         EXPECT_FALSE(served.chains_histogram.empty());
+         const auto built = layout::build_cell(layout::find_cell_spec("NAND3"));
+         const auto direct =
+             cnt::monte_carlo(built.layout, built.netlist, built.function,
+                              cnt::TubeModel{}, 2000, 3, 1);
+         EXPECT_EQ(json::dump(response.at("result").at("mc")),
+                   json::dump(api::to_json(direct)));
+       }});
+
+  json::Value batch = serve::make_request(serve::RequestKind::kBatch);
+  json::Value jobs = json::Value::array();
+  for (const char* cell : {"INV", "NOR2"}) {
+    jobs.push_back(compile_request(cell, layout::Tech::kCnfet65).at("job"));
+  }
+  batch.set("jobs", std::move(jobs));
+  batch.set("num_threads", 2);
+  cases.push_back({"batch INV+NOR2", std::move(batch),
+                   [](const json::Value& response) {
+                     ASSERT_TRUE(response.get_bool("ok"));
+                     EXPECT_EQ(response.at("result").get_int("num_ok"), 2);
+                     EXPECT_EQ(response.at("result").get_int("num_failed"), 0);
+                   }});
+  return cases;
 }
 
-TEST_F(ServeTest, SessionsRoundTripOverTheWireThroughResume) {
+TEST_F(ServeTest, EveryFlowKindAnswersTheSameServedAndInProcess) {
   const int port = start();
   auto c = client(port);
-  // Compile to the timed stage only...
-  api::FlowJob job;
-  job.cell = "AOI21";
-  job.target = api::Stage::kTimed;
-  json::Value request = serve::make_request(serve::RequestKind::kCompile);
-  request.set("job", api::to_json(job));
-  auto timed = c.call(std::move(request));
-  ASSERT_TRUE(timed.ok());
-  ASSERT_TRUE(timed.value().get_bool("ok"));
-  const json::Value& timed_result = timed.value().at("result");
-  EXPECT_EQ(timed_result.get_string("reached"), "timed");
-  ASSERT_NE(timed_result.find("session"), nullptr);
-  EXPECT_EQ(timed_result.find("gds_hex"), nullptr);  // nothing exported yet
+  for (const FlowCase& flow_case : flow_cases()) {
+    SCOPED_TRACE(flow_case.name);
+    const json::Value local = execute_locally(flow_case.request);
+    auto served = c.call(flow_case.request);
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(json::dump(served.value()), json::dump(local));
+    flow_case.check(local);
+  }
+}
 
-  // ...then resume that session to exported, all over the wire.
-  json::Value resume = serve::make_request(serve::RequestKind::kResume);
-  resume.set("session", timed_result.at("session"));
-  resume.set("target", "exported");
-  auto finished = c.call(std::move(resume));
-  ASSERT_TRUE(finished.ok());
-  ASSERT_TRUE(finished.value().get_bool("ok"))
-      << serve::response_diagnostics(finished.value()).to_string();
-  const json::Value& result = finished.value().at("result");
-  EXPECT_EQ(result.get_string("reached"), "exported");
-  auto served = serve::from_hex(result.get_string("gds_hex"));
-  ASSERT_TRUE(served.ok());
-  EXPECT_EQ(served.value(),
-            direct_gds_bytes("AOI21", layout::Tech::kCnfet65));
+TEST_F(ServeTest, GenNamesTheTopAfterTheDesignUnlessTopNamesAnother) {
+  const int port = start();
+  auto c = client(port);
+  gen::GenOptions gopt;
+  gopt.width = 8;  // rca8
+  // No options at all, the default name "TOP", and an explicit name.
+  for (const auto& [top, expected] :
+       {std::pair<std::string, std::string>{"", "rca8"},
+        {"TOP", "rca8"},
+        {"FOO", "FOO"}}) {
+    SCOPED_TRACE("top \"" + top + "\"");
+    json::Value request = serve::make_request(serve::RequestKind::kGen);
+    request.set("gen", api::to_json(gopt));
+    if (!top.empty()) {
+      api::FlowOptions options;
+      options.top_name = top;
+      request.set("options", api::to_json(options));
+    }
+    const json::Value local = execute_locally(request);
+    ASSERT_TRUE(local.get_bool("ok")) << diagnostics_of(local);
+    auto served = c.call(request);
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(json::dump(served.value()), json::dump(local));
+    EXPECT_EQ(gds_top_name(gds_of(local)), expected);
+    EXPECT_EQ(local.at("result").at("metrics").get_string("name"), expected);
+  }
+}
+
+// The ceilings admit every tier the repository runs.
+static_assert(serve::RequestLimits::kMaxAdderWidth >= 1112);
+static_assert(serve::RequestLimits::kMaxRandomGates >= 10000);
+
+TEST_F(ServeTest, OversizedRequestsAreRefusedBeforeTheEngineAllocates) {
+  const int port = start();
+  auto c = client(port);
+  const auto gen_request = [](gen::Family family, int width, int gates,
+                              int inputs) {
+    gen::GenOptions gopt;
+    gopt.family = family;
+    gopt.width = width;
+    gopt.target_gates = gates;
+    gopt.num_inputs = inputs;
+    json::Value request = serve::make_request(serve::RequestKind::kGen);
+    request.set("gen", api::to_json(gopt));
+    return request;
+  };
+  json::Value trials = serve::make_request(serve::RequestKind::kMonteCarlo);
+  trials.set("cell", "NAND3");
+  trials.set("trials", 20'000'000);
+  const std::vector<std::pair<json::Value, int>> refused = {
+      {gen_request(gen::Family::kRippleCarryAdder, 2'000'000'000, 1, 1),
+       serve::RequestLimits::kMaxAdderWidth},
+      {gen_request(gen::Family::kCarryLookaheadAdder, 5000, 1, 1),
+       serve::RequestLimits::kMaxAdderWidth},
+      {gen_request(gen::Family::kArrayMultiplier, 65, 1, 1),
+       serve::RequestLimits::kMaxMultiplierWidth},
+      {gen_request(gen::Family::kRandomDag, 8, 1'000'000, 16),
+       serve::RequestLimits::kMaxRandomGates},
+      {gen_request(gen::Family::kRandomDag, 8, 100, 100'000),
+       serve::RequestLimits::kMaxRandomInputs},
+      {trials, serve::RequestLimits::kMaxTrials},
+  };
+  for (const auto& [request, limit] : refused) {
+    SCOPED_TRACE(json::dump(request));
+    const json::Value local = execute_locally(request);
+    EXPECT_FALSE(local.get_bool("ok"));
+    EXPECT_NE(diagnostics_of(local).find(std::to_string(limit)),
+              std::string::npos)
+        << diagnostics_of(local);
+    auto served = c.call(request);
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(json::dump(served.value()), json::dump(local));
+  }
+  EXPECT_TRUE(c.ping());
 }
 
 TEST_F(ServeTest, ConcurrentClientsAllGetIdenticalCorrectResults) {

@@ -6,32 +6,35 @@
 //   cnfetc batch jobs.json --threads 8 --report report.json
 //   cnfetc resume sessions/nand3/ --to exported
 //
-// `compile` runs one api::Flow and checkpoints it (flow.json, plus
-// design.gds once exported); `resume` reconstructs a checkpoint and
-// continues it bit-identically; `batch` executes a serialized
-// std::vector<FlowJob> (jobs.json) through api::run_batch and writes the
-// serialized FlowReport (report.json). --cache-dir enables the
-// LibraryCache disk tier so repeated invocations skip characterization.
+// The flow verbs (compile, gen, resume, monte-carlo) only parse their
+// flags into a request envelope (serve::make_request). The request then
+// runs through serve::execute in this process, or goes to a running
+// cnfetd with --server HOST:PORT; either way one response writer turns
+// the response into the session dir (flow.json, design.gds), the --out
+// file and the summary lines, so local and served runs write the same
+// bytes. `batch` executes a serialized std::vector<FlowJob> (jobs.json)
+// through api::run_batch and writes the serialized FlowReport
+// (report.json). --cache-dir enables the LibraryCache disk tier so
+// repeated invocations skip characterization.
 //
-// `serve` runs the cnfetd compile server in-process; `--server HOST:PORT`
-// on compile/resume routes the flow to a running daemon (same GDS bytes
-// and metrics as the local path, but against the daemon's warm library
-// cache); `ping`/`stop` are the matching health check and graceful stop.
+// `serve` runs the cnfetd compile server in-process (same flags as
+// cnfetd); `ping`/`stop` are the matching health check and graceful stop.
 //
 // Exit codes: 0 success, 1 a flow/job failed, 2 usage error.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "api/batch.hpp"
 #include "api/serialize.hpp"
-#include "layout/cells.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
+#include "serve/execute.hpp"
 
 namespace {
 
@@ -56,11 +59,9 @@ void print_usage(std::FILE* out) {
       "                 [--server HOST:PORT]\n"
       "  cnfetc jobs --out JOBS.json [--tech T]... [--to STAGE]\n"
       "  cnfetc monte-carlo --cell NAME [--trials N] [--seed S]\n"
-      "                 [--threads N] [--histogram] [--naive] [--out FILE]\n"
+      "                 [--threads N] [--histogram] [--out FILE]\n"
       "                 [--server HOST:PORT]\n"
-      "  cnfetc serve [--host H] [--port P] [--threads N]\n"
-      "                 [--max-pending N] [--warm TECH]... [--no-warm]\n"
-      "                 [--cache-dir DIR] [--port-file FILE]\n"
+      "  cnfetc serve [cnfetd flags: --host H --port P --threads N ...]\n"
       "  cnfetc ping --server HOST:PORT\n"
       "  cnfetc stop --server HOST:PORT\n"
       "\n"
@@ -78,20 +79,18 @@ void print_usage(std::FILE* out) {
       "`gen` builds a deterministic at-scale benchmark design (ripple-carry\n"
       "or carry-lookahead adder of --width bits, --width x --width array\n"
       "multiplier, or a seeded random DAG of --gates gates over --inputs\n"
-      "primary inputs) and runs it through the flow like `compile` does —\n"
-      "same session dir, same artifacts, locally or via --server.\n"
+      "primary inputs) and runs it through the flow like `compile` does.\n"
+      "The GDS top is named after the design unless --top names another\n"
+      "(the default name TOP means \"name it after the design\").\n"
       "`monte-carlo` samples mispositioned-CNT trials against one paper\n"
-      "cell (Figure 2's experiment at arbitrary scale): per-trial stray\n"
-      "short/chain histograms with --histogram, the full serialized result\n"
-      "as JSON with --out (byte-identical locally or via --server), and\n"
-      "the all-pairs reference tracer with --naive (A/B check; slower).\n"
-      "`serve` starts the compile daemon (cnfetd in-process): it warms the\n"
-      "library cache for every --warm tech (default: all) and serves\n"
-      "compile/resume/sta/monte_carlo/batch requests over a line-delimited\n"
-      "JSON protocol until SIGINT/SIGTERM or `cnfetc stop`. With --server,\n"
-      "compile and resume send the flow to a daemon instead of running it\n"
-      "locally; the session dir they write (flow.json, design.gds) is\n"
-      "byte-identical to the local path's.\n");
+      "cell (Figure 2's experiment at arbitrary scale, at most 10000000\n"
+      "trials): per-trial stray short/chain histograms with --histogram,\n"
+      "the full serialized result as JSON with --out.\n"
+      "`serve` starts the compile daemon (cnfetd in-process, `cnfetd\n"
+      "--help` lists its flags) until SIGINT/SIGTERM or `cnfetc stop`.\n"
+      "compile, gen, resume and monte-carlo run in this process, or with\n"
+      "--server on a running daemon; the files they write (flow.json,\n"
+      "design.gds, --out) are byte-identical either way.\n");
 }
 
 int usage(const char* error = nullptr) {
@@ -175,22 +174,19 @@ void apply_cache_dir(Args& args) {
   }
 }
 
-/// stod/stoi without the uncaught-throw abort: a malformed numeric flag
-/// is a usage error, not a SIGABRT.
-bool parse_number(const std::string& text, double* out) {
+/// stod/stoi/stoull without the uncaught-throw abort: a malformed numeric
+/// flag is a usage error, not a SIGABRT.
+template <typename T>
+bool parse_number(const std::string& text, T* out) {
   try {
     std::size_t used = 0;
-    *out = std::stod(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parse_number(const std::string& text, int* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stoi(text, &used);
+    if constexpr (std::is_same_v<T, double>) {
+      *out = std::stod(text, &used);
+    } else if constexpr (std::is_same_v<T, int>) {
+      *out = std::stoi(text, &used);
+    } else {
+      *out = std::stoull(text, &used);
+    }
     return used == text.size();
   } catch (const std::exception&) {
     return false;
@@ -210,63 +206,68 @@ util::Result<api::Stage> target_stage(Args& args) {
   return api::Stage::kExported;
 }
 
-/// Advances `flow` to `target`, saves the session under `dir` and writes
-/// design.gds when the flow is exported. Shared by compile and resume.
-int finish_flow(api::Flow& flow, api::Stage target, const std::string& dir) {
-  const auto reached = flow.run(target);
-  std::printf("%s", flow.diagnostics().to_string().c_str());
-  const auto saved = flow.save(dir);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "cnfetc: save failed: %s\n",
-                 saved.error().to_string().c_str());
-    return 1;
+/// The flow flags compile and gen share. Returns a usage error message, or
+/// "" when every flag parsed.
+std::string parse_flow_options(Args& args, api::FlowOptions* options) {
+  if (const auto* tech = args.value_of("--tech")) {
+    auto parsed = api::tech_from_string(*tech);
+    if (!parsed.ok()) return parsed.error().message;
+    options->tech = parsed.value();
   }
-  std::printf("session saved to %s\n", saved.value().c_str());
-  if (flow.exported() != nullptr) {
-    const auto gds_path =
-        (std::filesystem::path(dir) / "design.gds").string();
-    const auto written = flow.write_gds(gds_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "cnfetc: %s\n",
-                   written.error().to_string().c_str());
-      return 1;
+  if (const auto* drive = args.value_of("--drive")) {
+    if (!parse_number(*drive, &options->drive)) {
+      return "--drive is not a number: " + *drive;
     }
-    std::printf("wrote %s\n", written.value().c_str());
   }
-  const auto m = flow.metrics();
-  std::printf("%s @ %s: stage %s, %d gates, delay %.3gps, "
-              "area %.0f lambda^2, %d DRC violations\n",
-              m.name.c_str(), layout::to_string(m.tech),
-              api::to_string(m.stage), m.gates, m.worst_arrival_s * 1e12,
-              m.placed_area_lambda2, m.drc_violations);
-  if (m.routed) {
-    std::printf("routed: %.0f lambda wire, %.3f fF wire cap, "
-                "wire delay +%.3gps, %d wire DRC violations\n",
-                m.total_wirelength, m.wire_cap_ff, m.wire_delay_ps,
-                m.wire_drc_violations);
-  }
-  print_cache_notes();
-  return reached.ok() ? 0 : 1;
+  options->optimize = args.has_switch("--optimize");
+  options->route = args.has_switch("--route");
+  if (const auto* top = args.value_of("--top")) options->top_name = *top;
+  return {};
 }
 
-/// Unpacks a daemon compile/resume response into the same session dir a
-/// local finish_flow writes: flow.json (the artifact-wrapped session the
-/// server shipped back), design.gds (decoded from gds_hex), and the same
-/// one-line metrics summary. Exit codes match the local path.
-int finish_served_flow(const util::json::Value& response,
-                       const std::string& dir) {
-  const auto diags = serve::response_diagnostics(response);
-  std::printf("%s", diags.to_string().c_str());
-  const util::json::Value* result = response.find("result");
-  if (result == nullptr || !result->is_object()) {
+/// Runs one request envelope: on the daemon at `server` when given, else
+/// through serve::execute in this process. Both return the same response
+/// document; only transport and envelope faults are errors.
+util::Result<util::json::Value> run_request(const std::string* server,
+                                            util::json::Value request) {
+  if (server == nullptr) {
+    const auto kind =
+        serve::request_kind_from_string(request.get_string("kind"));
+    return serve::execute({kind.value(), "", std::move(request)});
+  }
+  auto client = serve::Client::connect(*server);
+  if (!client.ok()) return client.error();
+  return client.value().call(request);
+}
+
+/// Writes a compile/gen/resume response into the session dir: flow.json
+/// (the session payload in its artifact envelope), design.gds (decoded
+/// from gds_hex), and the one-line metrics summary.
+int finish_flow(util::Result<util::json::Value> response,
+                const std::string& dir) {
+  if (!response.ok()) {
+    std::fprintf(stderr, "cnfetc: %s\n", response.error().to_string().c_str());
+    return 1;
+  }
+  util::json::Value& doc = response.value();
+  std::printf("%s", serve::response_diagnostics(doc).to_string().c_str());
+  const util::json::Value* found = doc.find("result");
+  if (found == nullptr || !found->is_object()) {
     std::fprintf(stderr, "cnfetc: response carries no result object\n");
     return 1;
   }
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (const util::json::Value* session = result->find("session")) {
+  // Moved out, not copied: a 10k-gate session payload is tens of MB.
+  util::json::Value result = doc.take("result");
+  const bool has_session = result.find("session") != nullptr;
+  const bool has_gds = result.find("gds_hex") != nullptr;
+  if (has_session || has_gds) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+  }
+  if (has_session) {
     const auto path = (std::filesystem::path(dir) / "flow.json").string();
-    const auto saved = api::write_artifact(*session, "flow", path);
+    const auto saved =
+        api::write_artifact(result.take("session"), "flow", path);
     if (!saved.ok()) {
       std::fprintf(stderr, "cnfetc: save failed: %s\n",
                    saved.error().to_string().c_str());
@@ -274,8 +275,8 @@ int finish_served_flow(const util::json::Value& response,
     }
     std::printf("session saved to %s\n", saved.value().c_str());
   }
-  if (const util::json::Value* gds_hex = result->find("gds_hex")) {
-    auto bytes = serve::from_hex(gds_hex->as_string());
+  if (has_gds) {
+    auto bytes = serve::from_hex(result.get_string("gds_hex"));
     if (!bytes.ok()) {
       std::fprintf(stderr, "cnfetc: %s\n", bytes.error().to_string().c_str());
       return 1;
@@ -290,7 +291,7 @@ int finish_served_flow(const util::json::Value& response,
     }
     std::printf("wrote %s\n", path.c_str());
   }
-  if (const util::json::Value* metrics = result->find("metrics")) {
+  if (const util::json::Value* metrics = result.find("metrics")) {
     const auto m = api::flow_metrics_from_json(*metrics);
     std::printf("%s @ %s: stage %s, %d gates, delay %.3gps, "
                 "area %.0f lambda^2, %d DRC violations\n",
@@ -304,23 +305,8 @@ int finish_served_flow(const util::json::Value& response,
                   m.wire_drc_violations);
     }
   }
-  return response.get_bool("ok") ? 0 : 1;
-}
-
-/// One request against a daemon; transport and envelope faults exit 1.
-int call_server(const std::string& endpoint, util::json::Value request,
-                const std::string& session_dir) {
-  auto client = serve::Client::connect(endpoint);
-  if (!client.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", client.error().to_string().c_str());
-    return 1;
-  }
-  auto response = client.value().call(request);
-  if (!response.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", response.error().to_string().c_str());
-    return 1;
-  }
-  return finish_served_flow(response.value(), session_dir);
+  print_cache_notes();
+  return doc.get_bool("ok") ? 0 : 1;
 }
 
 int cmd_compile(Args& args) {
@@ -329,46 +315,27 @@ int cmd_compile(Args& args) {
   const auto* out_dir = args.value_of("--out");
   if (cell == nullptr) return usage("compile requires --cell");
   if (out_dir == nullptr) return usage("compile requires --out");
-  api::FlowOptions options;
-  if (const auto* tech = args.value_of("--tech")) {
-    auto parsed = api::tech_from_string(*tech);
-    if (!parsed.ok()) return usage(parsed.error().message.c_str());
-    options.tech = parsed.value();
-  }
-  if (const auto* drive = args.value_of("--drive")) {
-    if (!parse_number(*drive, &options.drive)) {
-      return usage(("--drive is not a number: " + *drive).c_str());
-    }
+  api::FlowJob job;
+  job.cell = *cell;
+  if (const auto error = parse_flow_options(args, &job.options);
+      !error.empty()) {
+    return usage(error.c_str());
   }
   if (const auto* drive = args.value_of("--output-drive")) {
-    if (!parse_number(*drive, &options.output_drive)) {
+    if (!parse_number(*drive, &job.options.output_drive)) {
       return usage(("--output-drive is not a number: " + *drive).c_str());
     }
   }
-  if (args.has_switch("--optimize")) options.optimize = true;
-  if (args.has_switch("--route")) options.route = true;
-  if (const auto* top = args.value_of("--top")) options.top_name = *top;
   const auto target = target_stage(args);
   if (!target.ok()) return usage(target.error().message.c_str());
+  job.target = target.value();
   const auto* server = args.value_of("--server");
   if (const auto flag = args.unknown_flag(); !flag.empty()) {
     return usage(("unknown flag " + flag).c_str());
   }
-  if (server != nullptr) {
-    api::FlowJob job;
-    job.cell = *cell;
-    job.options = options;
-    job.target = target.value();
-    auto request = serve::make_request(serve::RequestKind::kCompile);
-    request.set("job", api::to_json(job));
-    return call_server(*server, std::move(request), *out_dir);
-  }
-  auto flow = api::Flow::from_cell(*cell, options);
-  if (!flow.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", flow.error().to_string().c_str());
-    return 1;
-  }
-  return finish_flow(flow.value(), target.value(), *out_dir);
+  auto request = serve::make_request(serve::RequestKind::kCompile);
+  request.set("job", api::to_json(job));
+  return finish_flow(run_request(server, std::move(request)), *out_dir);
 }
 
 int cmd_gen(Args& args) {
@@ -381,83 +348,39 @@ int cmd_gen(Args& args) {
   const auto family = gen::family_from_string(*family_name);
   if (!family.ok()) return usage(family.error().message.c_str());
   gopt.family = family.value();
-  if (const auto* width = args.value_of("--width")) {
-    if (!parse_number(*width, &gopt.width) || gopt.width < 1) {
-      return usage(("--width is not a positive integer: " + *width).c_str());
-    }
-  }
-  if (const auto* gates = args.value_of("--gates")) {
-    if (!parse_number(*gates, &gopt.target_gates) || gopt.target_gates < 1) {
-      return usage(("--gates is not a positive integer: " + *gates).c_str());
-    }
-  }
-  if (const auto* inputs = args.value_of("--inputs")) {
-    if (!parse_number(*inputs, &gopt.num_inputs) || gopt.num_inputs < 1) {
-      return usage(("--inputs is not a positive integer: " + *inputs).c_str());
+  for (const auto& [flag, field] :
+       {std::pair{"--width", &gopt.width},
+        std::pair{"--gates", &gopt.target_gates},
+        std::pair{"--inputs", &gopt.num_inputs}}) {
+    if (const auto* value = args.value_of(flag)) {
+      if (!parse_number(*value, field) || *field < 1) {
+        return usage((std::string(flag) + " is not a positive integer: " +
+                      *value)
+                         .c_str());
+      }
     }
   }
   if (const auto* seed = args.value_of("--seed")) {
-    try {
-      std::size_t used = 0;
-      gopt.seed = std::stoull(*seed, &used);
-      if (used != seed->size()) throw std::invalid_argument(*seed);
-    } catch (const std::exception&) {
+    if (!parse_number(*seed, &gopt.seed)) {
       return usage(("--seed is not a uint64: " + *seed).c_str());
     }
   }
   api::FlowOptions options;
-  if (const auto* tech = args.value_of("--tech")) {
-    auto parsed = api::tech_from_string(*tech);
-    if (!parsed.ok()) return usage(parsed.error().message.c_str());
-    options.tech = parsed.value();
+  if (const auto error = parse_flow_options(args, &options); !error.empty()) {
+    return usage(error.c_str());
   }
-  if (const auto* drive = args.value_of("--drive")) {
-    if (!parse_number(*drive, &options.drive)) {
-      return usage(("--drive is not a number: " + *drive).c_str());
-    }
-    gopt.drive = options.drive;
-  }
-  if (args.has_switch("--optimize")) options.optimize = true;
-  if (args.has_switch("--route")) options.route = true;
-  const auto* top = args.value_of("--top");
-  if (top != nullptr) options.top_name = *top;
+  gopt.drive = options.drive;
   const auto target = target_stage(args);
   if (!target.ok()) return usage(target.error().message.c_str());
   const auto* server = args.value_of("--server");
   if (const auto flag = args.unknown_flag(); !flag.empty()) {
     return usage(("unknown flag " + flag).c_str());
   }
-  if (server != nullptr) {
-    auto request = serve::make_request(serve::RequestKind::kGen);
-    request.set("gen", api::to_json(gopt));
-    request.set("options", api::to_json(options));
-    request.set("target", api::to_string(target.value()));
-    return call_server(*server, std::move(request), *out_dir);
-  }
-  auto library = api::LibraryCache::global().get(options.tech);
-  if (!library.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", library.error().to_string().c_str());
-    return 1;
-  }
-  options.library = library.value();
-  gen::Generated design;
-  try {
-    design = gen::generate(*options.library, gopt);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "cnfetc: gen failed: %s\n", e.what());
-    return 1;
-  }
-  if (top == nullptr) options.top_name = design.name;
-  std::printf("generated %s: %zu gates, %zu inputs, %zu outputs\n",
-              design.name.c_str(), design.netlist.gates().size(),
-              design.netlist.inputs().size(),
-              design.netlist.outputs().size());
-  auto flow = api::Flow::from_netlist(std::move(design.netlist), options);
-  if (!flow.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", flow.error().to_string().c_str());
-    return 1;
-  }
-  return finish_flow(flow.value(), target.value(), *out_dir);
+  auto request = serve::make_request(serve::RequestKind::kGen);
+  request.set("gen", api::to_json(gopt));
+  request.set("options", api::to_json(options));
+  request.set("target", api::to_string(target.value()));
+  return finish_flow(run_request(server, std::move(request)), *out_dir);
 }
 
 int cmd_resume(Args& args) {
@@ -473,29 +396,17 @@ int cmd_resume(Args& args) {
   }
   const std::string dir = args.positional();
   if (dir.empty()) return usage("resume requires a session directory");
-  if (server != nullptr) {
-    const auto path = (std::filesystem::path(dir) / "flow.json").string();
-    auto session = api::read_artifact(path, "flow");
-    if (!session.ok()) {
-      std::fprintf(stderr, "cnfetc: %s\n",
-                   session.error().to_string().c_str());
-      return 1;
-    }
-    auto request = serve::make_request(serve::RequestKind::kResume);
-    request.set("session", std::move(session).value());
-    request.set("target", api::to_string(target.value()));
-    if (route) request.set("route", true);
-    return call_server(*server, std::move(request), dir);
-  }
-  auto flow = api::Flow::resume(dir);
-  if (!flow.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", flow.error().to_string().c_str());
+  auto session = api::read_artifact(
+      (std::filesystem::path(dir) / "flow.json").string(), "flow");
+  if (!session.ok()) {
+    std::fprintf(stderr, "cnfetc: %s\n", session.error().to_string().c_str());
     return 1;
   }
-  if (route) flow.value().set_route(true);
-  std::printf("resumed %s at stage %s\n", flow.value().name().c_str(),
-              api::to_string(flow.value().stage()));
-  return finish_flow(flow.value(), target.value(), dir);
+  auto request = serve::make_request(serve::RequestKind::kResume);
+  request.set("session", std::move(session).value());
+  request.set("target", api::to_string(target.value()));
+  if (route) request.set("route", true);
+  return finish_flow(run_request(server, std::move(request)), dir);
 }
 
 int cmd_jobs(Args& args) {
@@ -572,11 +483,7 @@ int cmd_monte_carlo(Args& args) {
   }
   std::uint64_t seed = 1;
   if (const auto* s = args.value_of("--seed")) {
-    try {
-      std::size_t used = 0;
-      seed = std::stoull(*s, &used);
-      if (used != s->size()) throw std::invalid_argument(*s);
-    } catch (const std::exception&) {
+    if (!parse_number(*s, &seed)) {
       return usage(("--seed is not a uint64: " + *s).c_str());
     }
   }
@@ -587,64 +494,34 @@ int cmd_monte_carlo(Args& args) {
     }
   }
   const bool histogram = args.has_switch("--histogram");
-  const bool naive = args.has_switch("--naive");
   const auto* out_file = args.value_of("--out");
   const auto* server = args.value_of("--server");
-  if (server != nullptr && naive) {
-    return usage("--naive runs locally only (the daemon always uses the "
-                 "indexed tracer)");
-  }
   if (const auto flag = args.unknown_flag(); !flag.empty()) {
     return usage(("unknown flag " + flag).c_str());
   }
 
-  // Either path produces the same serialized "mc" object for the same
-  // (cell, trials, seed): util::json round-trips are exact, so --out
-  // files from a local run and a served run compare byte-identical.
-  util::json::Value mc_json;
-  if (server != nullptr) {
-    auto client = serve::Client::connect(*server);
-    if (!client.ok()) {
-      std::fprintf(stderr, "cnfetc: %s\n", client.error().to_string().c_str());
-      return 1;
-    }
-    auto request = serve::make_request(serve::RequestKind::kMonteCarlo);
-    request.set("cell", *cell);
-    request.set("trials", trials);
-    request.set("seed", static_cast<std::int64_t>(seed));
-    request.set("threads", threads);
-    auto response = client.value().call(request);
-    if (!response.ok()) {
-      std::fprintf(stderr, "cnfetc: %s\n",
-                   response.error().to_string().c_str());
-      return 1;
-    }
-    const auto diags = serve::response_diagnostics(response.value());
-    std::printf("%s", diags.to_string().c_str());
-    if (!response.value().get_bool("ok")) return 1;
-    const util::json::Value* result = response.value().find("result");
-    const util::json::Value* mc =
-        result != nullptr ? result->find("mc") : nullptr;
-    if (mc == nullptr) {
-      std::fprintf(stderr, "cnfetc: response carries no mc result\n");
-      return 1;
-    }
-    mc_json = *mc;
-  } else {
-    try {
-      const auto built = layout::build_cell(layout::find_cell_spec(*cell));
-      const auto mc = cnt::monte_carlo(
-          built.layout, built.netlist, built.function, cnt::TubeModel{},
-          trials, seed, threads,
-          naive ? cnt::TracerKind::kNaive : cnt::TracerKind::kIndexed);
-      mc_json = api::to_json(mc);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cnfetc: %s\n", e.what());
-      return 1;
-    }
+  auto request = serve::make_request(serve::RequestKind::kMonteCarlo);
+  request.set("cell", *cell);
+  request.set("trials", trials);
+  request.set("seed", static_cast<std::int64_t>(seed));
+  request.set("threads", threads);
+  const auto response = run_request(server, std::move(request));
+  if (!response.ok()) {
+    std::fprintf(stderr, "cnfetc: %s\n", response.error().to_string().c_str());
+    return 1;
   }
-
-  const auto mc = api::monte_carlo_result_from_json(mc_json);
+  std::printf("%s", serve::response_diagnostics(response.value())
+                        .to_string()
+                        .c_str());
+  if (!response.value().get_bool("ok")) return 1;
+  const util::json::Value* result = response.value().find("result");
+  const util::json::Value* mc_json =
+      result != nullptr ? result->find("mc") : nullptr;
+  if (mc_json == nullptr) {
+    std::fprintf(stderr, "cnfetc: response carries no mc result\n");
+    return 1;
+  }
+  const auto mc = api::monte_carlo_result_from_json(*mc_json);
   std::printf("%s: %d trials, %d failing (yield %.6f), "
               "%lld tubes, %lld stray shorts, %lld stray chains\n",
               cell->c_str(), mc.trials, mc.failing_trials, mc.yield(),
@@ -667,7 +544,7 @@ int cmd_monte_carlo(Args& args) {
   }
   if (out_file != nullptr) {
     std::ofstream out(*out_file, std::ios::binary | std::ios::trunc);
-    out << util::json::dump(mc_json, 2);
+    out << util::json::dump(*mc_json, 2);
     if (!out.good()) {
       std::fprintf(stderr, "cnfetc: cannot write %s\n", out_file->c_str());
       return 1;
@@ -675,49 +552,6 @@ int cmd_monte_carlo(Args& args) {
     std::printf("wrote %s\n", out_file->c_str());
   }
   return 0;
-}
-
-int cmd_serve(Args& args) {
-  apply_cache_dir(args);
-  serve::DaemonOptions options;
-  // Warm every technology by default: the daemon's reason to exist is that
-  // the first client request already finds a characterized library.
-  options.server.warm = {layout::Tech::kCnfet65, layout::Tech::kCmos65};
-  if (const auto* host = args.value_of("--host")) options.server.host = *host;
-  if (const auto* port = args.value_of("--port")) {
-    int value = 0;
-    if (!parse_number(*port, &value) || value < 0 || value > 65535) {
-      return usage(("--port is not a valid port: " + *port).c_str());
-    }
-    options.server.port = static_cast<std::uint16_t>(value);
-  }
-  if (const auto* threads = args.value_of("--threads")) {
-    if (!parse_number(*threads, &options.server.num_threads)) {
-      return usage(("--threads is not an integer: " + *threads).c_str());
-    }
-  }
-  if (const auto* pending = args.value_of("--max-pending")) {
-    if (!parse_number(*pending, &options.server.max_pending)) {
-      return usage(("--max-pending is not an integer: " + *pending).c_str());
-    }
-  }
-  const auto warm_names = args.values_of("--warm");
-  if (!warm_names.empty()) {
-    options.server.warm.clear();
-    for (const auto& name : warm_names) {
-      auto parsed = api::tech_from_string(name);
-      if (!parsed.ok()) return usage(parsed.error().message.c_str());
-      options.server.warm.push_back(parsed.value());
-    }
-  }
-  if (args.has_switch("--no-warm")) options.server.warm.clear();
-  if (const auto* file = args.value_of("--port-file")) {
-    options.port_file = *file;
-  }
-  if (const auto flag = args.unknown_flag(); !flag.empty()) {
-    return usage(("unknown flag " + flag).c_str());
-  }
-  return serve::run_daemon(options);
 }
 
 int cmd_ping(Args& args) {
@@ -769,7 +603,7 @@ int main(int argc, char** argv) {
   if (command == "resume") return cmd_resume(args);
   if (command == "jobs") return cmd_jobs(args);
   if (command == "monte-carlo") return cmd_monte_carlo(args);
-  if (command == "serve") return cmd_serve(args);
+  if (command == "serve") return serve::daemon_main(argc - 1, argv + 1);
   if (command == "ping") return cmd_ping(args);
   if (command == "stop") return cmd_stop(args);
   if (command == "help" || command == "--help" || command == "-h") {

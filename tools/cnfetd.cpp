@@ -1,7 +1,7 @@
 // cnfetd — the standalone compile-server daemon.
 //
 // One process holds one warm api::LibraryCache and serves
-// compile/resume/sta/monte_carlo/batch requests over a line-delimited
+// compile/resume/gen/sta/monte_carlo/batch requests over a line-delimited
 // JSON protocol (see docs/api_guide.md, "The compile server"). Repeated
 // `cnfetc compile` invocations each pay library characterization from a
 // cold process; pointing them at a daemon with --server amortizes that
@@ -13,127 +13,10 @@
 //   cnfetc stop --server 127.0.0.1:7455
 //
 // SIGINT/SIGTERM (or a client "shutdown" request) drains in-flight flows
-// before exiting; nothing accepted is dropped.
+// before exiting; nothing accepted is dropped. The flags are parsed by
+// serve::daemon_main, which `cnfetc serve` shares.
 //
 // Exit codes: 0 clean shutdown, 1 failed to start, 2 usage error.
-#include <cstdio>
-#include <string>
-
-#include "api/library_cache.hpp"
-#include "api/serialize.hpp"
 #include "serve/daemon.hpp"
 
-namespace {
-
-using namespace cnfet;
-
-void print_usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: cnfetd [--host H] [--port P] [--threads N]\n"
-      "              [--max-pending N] [--max-connections N]\n"
-      "              [--idle-timeout-ms MS] [--warm cnfet65|cmos65]...\n"
-      "              [--no-warm] [--cache-dir DIR] [--port-file FILE]\n"
-      "\n"
-      "Defaults: 127.0.0.1, an ephemeral port (printed on startup, and\n"
-      "written to --port-file when given), one pool worker per hardware\n"
-      "thread, every technology library warmed before accepting.\n"
-      "--cache-dir (or CNFET_LIBRARY_CACHE_DIR) backs the warm cache with\n"
-      "the versioned on-disk library tier.\n");
-}
-
-bool parse_int(const std::string& text, int* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stoi(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-int usage(const std::string& error) {
-  std::fprintf(stderr, "cnfetd: %s\n\n", error.c_str());
-  print_usage(stderr);
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  serve::DaemonOptions options;
-  options.server.warm = {layout::Tech::kCnfet65, layout::Tech::kCmos65};
-  bool warm_overridden = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      (void)flag;
-      return argv[++i];
-    };
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    }
-    const char* value = nullptr;
-    if (arg == "--host") {
-      if ((value = next("--host")) == nullptr) return usage("--host needs a value");
-      options.server.host = value;
-    } else if (arg == "--port") {
-      int port = 0;
-      if ((value = next("--port")) == nullptr || !parse_int(value, &port) ||
-          port < 0 || port > 65535) {
-        return usage("--port needs a port number");
-      }
-      options.server.port = static_cast<std::uint16_t>(port);
-    } else if (arg == "--threads") {
-      if ((value = next("--threads")) == nullptr ||
-          !parse_int(value, &options.server.num_threads)) {
-        return usage("--threads needs an integer");
-      }
-    } else if (arg == "--max-pending") {
-      if ((value = next("--max-pending")) == nullptr ||
-          !parse_int(value, &options.server.max_pending)) {
-        return usage("--max-pending needs an integer");
-      }
-    } else if (arg == "--max-connections") {
-      if ((value = next("--max-connections")) == nullptr ||
-          !parse_int(value, &options.server.max_connections)) {
-        return usage("--max-connections needs an integer");
-      }
-    } else if (arg == "--idle-timeout-ms") {
-      if ((value = next("--idle-timeout-ms")) == nullptr ||
-          !parse_int(value, &options.server.idle_timeout_ms)) {
-        return usage("--idle-timeout-ms needs an integer");
-      }
-    } else if (arg == "--warm") {
-      if ((value = next("--warm")) == nullptr) {
-        return usage("--warm needs a technology name");
-      }
-      auto tech = cnfet::api::tech_from_string(value);
-      if (!tech.ok()) return usage(tech.error().message);
-      if (!warm_overridden) {
-        options.server.warm.clear();
-        warm_overridden = true;
-      }
-      options.server.warm.push_back(tech.value());
-    } else if (arg == "--no-warm") {
-      options.server.warm.clear();
-      warm_overridden = true;
-    } else if (arg == "--cache-dir") {
-      if ((value = next("--cache-dir")) == nullptr) {
-        return usage("--cache-dir needs a directory");
-      }
-      cnfet::api::LibraryCache::global().set_cache_dir(value);
-    } else if (arg == "--port-file") {
-      if ((value = next("--port-file")) == nullptr) {
-        return usage("--port-file needs a path");
-      }
-      options.port_file = value;
-    } else {
-      return usage("unknown argument \"" + arg + "\"");
-    }
-  }
-  return serve::run_daemon(options);
-}
+int main(int argc, char** argv) { return cnfet::serve::daemon_main(argc, argv); }
