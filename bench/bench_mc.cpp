@@ -25,6 +25,10 @@
 //  * thread-count invariance — the indexed result at 1 thread vs
 //    hardware threads, full comparison, at 100k trials.
 //
+// Zero-allocation gate: heap allocations per warm single-thread trial
+// (util/heap_count.hpp) must be 0; scripts/check_perf.py skips it when
+// the binary was built without CNFET_COUNT_ALLOCS.
+//
 // Results merge into BENCH_perf.json as the "mc" section (same
 // read-modify-write contract as bench_serve/bench_scaling: existing
 // sections are kept; only bench_perf truncates the file).
@@ -40,6 +44,7 @@
 
 #include "cnt/analyzer.hpp"
 #include "layout/cells.hpp"
+#include "util/heap_count.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -178,12 +183,32 @@ TracerAb tracer_ab(const layout::CellGeometry& geometry,
   return ab;
 }
 
+/// Heap allocations per warm trial at one thread: the allocation delta
+/// between a 2N-trial and an N-trial call, over N. Both calls pay the
+/// same per-call setup, which cancels. A first 2N-trial call warms the
+/// worker scratch for every trial either call runs: trial i draws the
+/// same stream in all three.
+double allocs_per_warm_trial(const layout::BuiltCell& built,
+                             std::uint64_t seed) {
+  constexpr int kTrials = 10'000;
+  const auto allocs = [&](int trials) {
+    const std::uint64_t before = util::heap_allocs_this_thread();
+    (void)cnt::monte_carlo(built.layout, built.netlist, built.function,
+                           cnt::TubeModel{}, trials, seed, 1);
+    return static_cast<double>(util::heap_allocs_this_thread() - before);
+  };
+  (void)allocs(2 * kTrials);
+  const double single = allocs(kTrials);
+  return (allocs(2 * kTrials) - single) / kTrials;
+}
+
 struct CellRun {
   double naive_100k_ms = 0.0;
   double indexed_10k_ms = 0.0;
   double indexed_100k_ms = 0.0;
   double indexed_1m_ms = 0.0;  ///< at hardware threads
   TracerAb tracer;
+  double allocs_per_trial = 0.0;
   bool indexed_eq_naive = true;
   bool thread_invariant = true;
 
@@ -227,6 +252,7 @@ CellRun run_cell(const std::string& name, int hardware) {
   run.indexed_eq_naive = results_identical(indexed_10k, naive_10k) &&
                          results_identical(indexed_100k, naive_100k);
   run.thread_invariant = results_identical(indexed_100k, indexed_100k_mt);
+  run.allocs_per_trial = allocs_per_warm_trial(built, kSeed);
 
   const cnt::GeometryIndex index(built.layout.geometry());
   const auto tubes =
@@ -235,11 +261,13 @@ CellRun run_cell(const std::string& name, int hardware) {
 
   std::printf("%-8s | naive 100k %8.1f ms | indexed 100k %8.1f ms "
               "(%4.1fx, %8.0f trials/s) | 1M @ t%d %8.1f ms | tracer "
-              "%5.1f -> %5.1f ns/tube (%4.1fx) | eq %s | threads %s\n",
+              "%5.1f -> %5.1f ns/tube (%4.1fx) | %.4f allocs/trial | eq %s "
+              "| threads %s\n",
               name.c_str(), run.naive_100k_ms, run.indexed_100k_ms,
               run.speedup_100k(), run.indexed_100k_trials_per_sec(), hardware,
               run.indexed_1m_ms, run.tracer.naive_ns_per_tube,
               run.tracer.indexed_ns_per_tube, run.tracer.speedup(),
+              run.allocs_per_trial,
               run.indexed_eq_naive && run.tracer.identical ? "yes" : "NO",
               run.thread_invariant ? "yes" : "NO");
   return run;
@@ -294,6 +322,7 @@ json::Value cell_json(const CellRun& run) {
   v.set("indexed_100k_trials_per_sec", run.indexed_100k_trials_per_sec());
   v.set("indexed_1m_trials_per_sec", run.indexed_1m_trials_per_sec());
   v.set("tracer", tracer_json(run.tracer));
+  v.set("allocs_per_trial", run.allocs_per_trial);
   v.set("indexed_eq_naive", run.indexed_eq_naive);
   v.set("thread_invariant", run.thread_invariant);
   return v;
@@ -369,6 +398,9 @@ int main() {
   mc.set("dense_tracer_speedup", dense_ab.speedup());
   mc.set("min_indexed_100k_trials_per_sec", min_rate_100k);
   mc.set("min_indexed_1m_trials_per_sec", min_rate_1m);
+  mc.set("alloc_counting", util::heap_counting_enabled());
+  mc.set("allocs_per_trial",
+         std::max(nand3.allocs_per_trial, aoi22.allocs_per_trial));
   mc.set("indexed_eq_naive", identical);
   mc.set("thread_invariant", invariant);
   root.set("mc", std::move(mc));

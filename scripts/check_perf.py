@@ -13,8 +13,8 @@ when:
     throughputs, and the multicore-scaling ladders);
   * any accuracy/equivalence flag in the bench output is false;
   * the "scaling" section reports a nonzero steady-state allocation
-    count per warm characterization arc while allocation counting was
-    compiled in.
+    count per warm characterization arc, or the "mc" section one per
+    warm Monte Carlo trial, while allocation counting was compiled in.
 
 The scaling-ladder speedup floors (bench_scaling's 1/2/4/N thread
 ladders) only gate on hosts with at least
@@ -117,7 +117,8 @@ def check_mc(mc: dict, floors: dict) -> None:
     honest tier-1 numbers (tiny 2-band geometries; the all-pairs scan is
     already cheap there). The identity flags — indexed tracer emits
     bit-identical results to the naive reference, and the threaded run
-    is bit-identical to the serial one — gate everywhere, always.
+    is bit-identical to the serial one — gate everywhere, always, and a
+    warm trial allocates nothing wherever allocations are counted.
     """
     check_floor("mc.dense_tracer_speedup", mc["dense_tracer_speedup"],
                 floors["dense_tracer_speedup"])
@@ -133,6 +134,10 @@ def check_mc(mc: dict, floors: dict) -> None:
                 floors["trials_per_sec_1m"], unit="")
     check_flag("mc.indexed_eq_naive", mc["indexed_eq_naive"])
     check_flag("mc.thread_invariant", mc["thread_invariant"])
+    if mc["alloc_counting"]:
+        check_ceiling("mc.allocs_per_trial", mc["allocs_per_trial"], 0.0)
+    else:
+        skip("mc.allocs_per_trial", "binary built without CNFET_COUNT_ALLOCS")
 
 
 def check_route(route: dict, floors: dict) -> None:

@@ -1,6 +1,7 @@
 #include "cnt/analyzer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -21,20 +22,19 @@ using layout::CellGeometry;
 using netlist::CellNetlist;
 using netlist::NetId;
 
-void apply_effect(CellNetlist& cell, const StrayEffect& effect) {
-  if (effect.a == effect.b && effect.is_short()) return;
-  if (effect.is_short()) {
-    cell.add_short({effect.a, effect.b});
+void append_stray_edges(NetId a, NetId b, std::span<const StrayLink> chain,
+                        std::vector<netlist::ConductionEdge>& edges,
+                        int& num_nets) {
+  if (chain.empty()) {
+    edges.push_back({a, b, ~0ull});
     return;
   }
-  NetId at = effect.a;
-  for (std::size_t i = 0; i < effect.chain.size(); ++i) {
-    const NetId next =
-        (i + 1 == effect.chain.size())
-            ? effect.b
-            : cell.add_net("stray" + std::to_string(cell.num_nets()));
-    cell.add_fet({effect.chain[i].type, effect.chain[i].gate_input, at, next,
-                  1.0});
+  NetId at = a;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    const NetId next = i + 1 == chain.size() ? b : num_nets++;
+    edges.push_back(
+        {at, next, netlist::conducting_rows(chain[i].type,
+                                            chain[i].gate_input, 0)});
     at = next;
   }
 }
@@ -60,14 +60,26 @@ bool spans_band_vertically(const Rect& shape, const Rect& band) {
   return shape.lo().y <= band.lo().y && shape.hi().y >= band.hi().y;
 }
 
+/// Stray edges name the geometry's contact nets and gate inputs unchecked,
+/// so both engines first require that they exist in `cell`.
+void require_geometry_fits(const CellGeometry& geo, const CellNetlist& cell) {
+  for (const auto& c : geo.contacts) {
+    CNFET_REQUIRE(c.net >= 0 && c.net < cell.num_nets());
+  }
+  for (const auto& g : geo.gates) {
+    CNFET_REQUIRE(g.input >= 0 && g.input < cell.num_inputs());
+  }
+}
+
 }  // namespace
 
 ImmunityReport check_exact(const GeometryIndex& index, const CellNetlist& cell,
                            const logic::TruthTable& function) {
   // The bands were proven pairwise disjoint at index construction (tubes
-  // cannot bridge two bands: the active etch cuts them in between), so no
-  // per-call validation runs here.
+  // cannot bridge two bands: the active etch cuts them in between), so
+  // only the geometry's fit to the cell is checked here.
   const CellGeometry& geo = index.geometry();
+  require_geometry_fits(geo, cell);
 
   ImmunityReport report;
   for (std::size_t bi = 0; bi < index.bands().size(); ++bi) {
@@ -118,9 +130,15 @@ ImmunityReport check_exact(const GeometryIndex& index, const CellNetlist& cell,
     }
   }
 
-  CellNetlist augmented = cell;
-  for (const auto& e : report.effects) apply_effect(augmented, e);
-  report.functional = augmented.check_function(function);
+  CNFET_REQUIRE(function.num_inputs() == cell.num_inputs());
+  std::vector<netlist::ConductionEdge> edges = cell.conduction_edges();
+  int num_nets = cell.num_nets();
+  for (const auto& e : report.effects) {
+    append_stray_edges(e.a, e.b, e.chain, edges, num_nets);
+  }
+  std::vector<netlist::RowReach> reach;
+  netlist::flood_rows(edges, num_nets, reach);
+  report.functional = netlist::judge_rows(reach, function);
   report.immune = report.functional.ok;
   return report;
 }
@@ -172,11 +190,12 @@ std::optional<double> clip_mid(const Segment& seg, double bt0, double bt1,
 }
 
 /// Walks one band's sorted events: contacts anchor chains; gates extend
-/// the pending chain; etch slots and band exits break continuity.
-/// Effects are APPENDED to `effects`.
+/// the pending chain; etch slots and band exits break continuity. Each
+/// effect goes to sink(a, b, chain) in order; the chain view lives in
+/// `arena` and is valid only during the call.
+template <typename Sink>
 void walk_events(const util::ArenaVector<Event>& events,
-                 netlist::FetType doping, util::Arena& arena,
-                 std::vector<StrayEffect>& effects) {
+                 netlist::FetType doping, util::Arena& arena, Sink& sink) {
   bool have_anchor = false;
   NetId anchor = 0;
   util::ArenaVector<StrayLink> pending{util::ArenaAllocator<StrayLink>(arena)};
@@ -192,11 +211,8 @@ void walk_events(const util::ArenaVector<Event>& events,
         break;
       case Event::Kind::kContact:
         if (have_anchor && !(anchor == ev.net && pending.empty())) {
-          StrayEffect effect;
-          effect.a = anchor;
-          effect.b = ev.net;
-          effect.chain.assign(pending.begin(), pending.end());
-          effects.push_back(std::move(effect));
+          sink(anchor, ev.net,
+               std::span<const StrayLink>(pending.data(), pending.size()));
         }
         have_anchor = true;
         anchor = ev.net;
@@ -206,21 +222,15 @@ void walk_events(const util::ArenaVector<Event>& events,
   }
 }
 
-}  // namespace
-
-/// trace_tube with caller-owned storage: the per-band event list and the
-/// pending chain live in `arena` (reset here, so the caller must not hold
-/// arena data across calls) and effects are APPENDED to `effects`. Once
-/// the arena blocks and the effects capacity are warm, tracing a tube
-/// touches the heap only when an effect with a non-empty chain is
-/// recorded — the Monte Carlo hot path (most tubes miss) allocates
-/// nothing.
-///
-/// This is the naive all-pairs reference: every segment against every
-/// band, contact, gate and etch rectangle.
-void trace_tube_into(const CellGeometry& geometry,
-                     const std::vector<DVec2>& polyline, util::Arena& arena,
-                     std::vector<StrayEffect>& effects) {
+/// The naive all-pairs reference tracer: every segment against every
+/// band, contact, gate and etch rectangle. The per-band event list and
+/// the pending chain live in `arena` (reset here, so the caller must not
+/// hold arena data across calls); effects go to `sink` (see walk_events).
+/// With warm arena blocks a trace allocates nothing.
+template <typename Sink>
+void trace_naive(const CellGeometry& geometry,
+                 std::span<const DVec2> polyline, util::Arena& arena,
+                 Sink&& sink) {
   CNFET_REQUIRE(polyline.size() >= 2);
   arena.reset();
 
@@ -256,20 +266,21 @@ void trace_tube_into(const CellGeometry& geometry,
       }
     }
     std::sort(events.begin(), events.end(), event_less);
-    walk_events(events, band.doping, arena, effects);
+    walk_events(events, band.doping, arena, sink);
   }
 }
 
 /// Index-accelerated tracer. Emits the same events as the naive tracer —
 /// the index only prunes shapes/bands the exact clip math provably cannot
 /// hit (closed, padded interval tests), and the sort normalizes
-/// enumeration order — so the appended effect list is bit-identical.
+/// enumeration order — so the effect sequence is bit-identical.
 ///
 /// All query padding lives inside the index (folded into its stored
 /// bounds at build time), so this hot path compares raw coordinates only.
-void trace_tube_into(const GeometryIndex& index,
-                     const std::vector<DVec2>& polyline, util::Arena& arena,
-                     std::vector<StrayEffect>& effects) {
+template <typename Sink>
+void trace_indexed(const GeometryIndex& index,
+                   std::span<const DVec2> polyline, util::Arena& arena,
+                   Sink&& sink) {
   CNFET_REQUIRE(polyline.size() >= 2);
 
   // Bounding box of the whole tube, tested against the (pre-padded)
@@ -378,8 +389,29 @@ void trace_tube_into(const GeometryIndex& index,
           });
     }
     std::sort(events.begin(), events.end(), event_less);
-    walk_events(events, band.doping, arena, effects);
+    walk_events(events, band.doping, arena, sink);
   }
+}
+
+/// Sink that materializes each effect into `effects`.
+auto collect_into(std::vector<StrayEffect>& effects) {
+  return [&effects](NetId a, NetId b, std::span<const StrayLink> chain) {
+    effects.push_back({a, b, {chain.begin(), chain.end()}});
+  };
+}
+
+}  // namespace
+
+void trace_tube_into(const CellGeometry& geometry,
+                     const std::vector<DVec2>& polyline, util::Arena& arena,
+                     std::vector<StrayEffect>& effects) {
+  trace_naive(geometry, polyline, arena, collect_into(effects));
+}
+
+void trace_tube_into(const GeometryIndex& index,
+                     const std::vector<DVec2>& polyline, util::Arena& arena,
+                     std::vector<StrayEffect>& effects) {
+  trace_indexed(index, polyline, arena, collect_into(effects));
 }
 
 std::vector<StrayEffect> trace_tube(const CellGeometry& geometry,
@@ -388,11 +420,6 @@ std::vector<StrayEffect> trace_tube(const CellGeometry& geometry,
   util::Arena arena;
   trace_tube_into(geometry, polyline, arena, effects);
   return effects;
-}
-
-std::vector<StrayEffect> trace_tube_naive(const CellGeometry& geometry,
-                                          const std::vector<DVec2>& polyline) {
-  return trace_tube(geometry, polyline);
 }
 
 std::vector<StrayEffect> trace_tube(const GeometryIndex& index,
@@ -405,25 +432,14 @@ std::vector<StrayEffect> trace_tube(const GeometryIndex& index,
 
 namespace {
 
-/// Per-worker Monte Carlo scratch (util::worker_scratch): the augmented
-/// netlist copy, the tube polyline/effect buffers, and the tracer arena
-/// all persist across the worker's trials. The netlist is copied once per
-/// (worker, monte_carlo call) and rolled back to its mark per trial, so a
-/// warm trial's only heap traffic is the rare effect chain and the
-/// netlist's own growth past steady state.
+/// Per-worker Monte Carlo scratch (util::worker_scratch): the trial's edge
+/// list, the flood's reach masks and the tracer arena. Each trial
+/// overwrites them, so once warm a trial allocates nothing.
 struct McScratch {
-  CellNetlist augmented{0};  ///< placeholder shape; rebound per call
-  CellNetlist::Mark mark{};
-  std::uint64_t bound_call = 0;  ///< which monte_carlo call `augmented` copies
-  std::vector<DVec2> polyline;
-  std::vector<StrayEffect> effects;
+  std::vector<netlist::ConductionEdge> edges;
+  std::vector<netlist::RowReach> reach;
   util::Arena arena;
 };
-
-/// Distinguishes monte_carlo invocations so worker scratch never rolls a
-/// netlist back across calls (the daemon dispatches concurrent Monte
-/// Carlo requests onto the same pool workers).
-std::atomic<std::uint64_t> mc_call_counter{0};
 
 }  // namespace
 
@@ -434,15 +450,25 @@ MonteCarloResult monte_carlo(const layout::CellLayout& layout,
                              std::uint64_t seed, int num_threads,
                              TracerKind tracer) {
   CNFET_REQUIRE(trials > 0 && model.tubes_per_trial > 0);
+  CNFET_REQUIRE(function.num_inputs() == cell.num_inputs());
   // Built once and shared read-only by every worker; construction also
   // proves the bands disjoint, once, instead of per analysis call.
   const GeometryIndex index(layout.geometry());
   const CellGeometry& geo = index.geometry();
-  const Rect box = layout.bbox();
-  const std::uint64_t call_id = mc_call_counter.fetch_add(1) + 1;
+  require_geometry_fits(geo, cell);
+  const std::vector<netlist::ConductionEdge> base_edges =
+      cell.conduction_edges();
 
   constexpr double kPi = 3.14159265358979323846;
   const double diag_margin = model.mean_length_lambda * geom::kLambda;
+  const Rect box = layout.bbox();
+  const double x_lo = static_cast<double>(box.lo().x) - diag_margin;
+  const double x_hi = static_cast<double>(box.hi().x) + diag_margin;
+  const double y_lo = static_cast<double>(box.lo().y) - diag_margin;
+  const double y_hi = static_cast<double>(box.hi().y) + diag_margin;
+  const double log_mean_length = std::log(model.mean_length_lambda);
+  const double angle_sigma = model.angle_sigma_deg * kPi / 180.0;
+  const double bend_sigma = model.bend_sigma_deg * kPi / 180.0;
 
   // Trials are independent instances; each draws from its own
   // counter-seeded stream (see header) and folds integer tallies into the
@@ -450,7 +476,6 @@ MonteCarloResult monte_carlo(const layout::CellLayout& layout,
   // the whole MonteCarloResult, histograms included — are identical for
   // every thread count.
   std::atomic<int> failing_trials{0};
-  std::atomic<std::int64_t> tubes_sampled{0};
   std::atomic<std::int64_t> stray_shorts{0};
   std::atomic<std::int64_t> stray_chains{0};
   util::AtomicHistogram shorts_histogram(MonteCarloResult::kHistogramBuckets);
@@ -459,71 +484,58 @@ MonteCarloResult monte_carlo(const layout::CellLayout& layout,
   auto run_trial = [&](std::int64_t trial) {
     util::Xoshiro256 rng(
         util::derive_stream(seed, static_cast<std::uint64_t>(trial)));
+    McScratch& scratch = util::worker_scratch<McScratch>();
+    // Stray devices are appended to the cell's base edges as the tracer
+    // reports them; fresh chain nets number past the cell's own.
+    scratch.edges.assign(base_edges.begin(), base_edges.end());
+    int num_nets = cell.num_nets();
     std::int64_t trial_shorts = 0;
     std::int64_t trial_chains = 0;
-    McScratch& scratch = util::worker_scratch<McScratch>();
-    if (scratch.bound_call != call_id) {
-      scratch.augmented = cell;
-      scratch.mark = scratch.augmented.mark();
-      scratch.bound_call = call_id;
-    } else {
-      scratch.augmented.rollback(scratch.mark);
-    }
-    CellNetlist& augmented = scratch.augmented;
-    bool any_effect = false;
+    const auto add_effect = [&](NetId a, NetId b,
+                                std::span<const StrayLink> chain) {
+      ++(chain.empty() ? trial_shorts : trial_chains);
+      append_stray_edges(a, b, chain, scratch.edges, num_nets);
+    };
     for (int tube = 0; tube < model.tubes_per_trial; ++tube) {
       // Random center anywhere a tube could still intersect the cell.
-      const DVec2 center{
-          rng.uniform(static_cast<double>(box.lo().x) - diag_margin,
-                      static_cast<double>(box.hi().x) + diag_margin),
-          rng.uniform(static_cast<double>(box.lo().y) - diag_margin,
-                      static_cast<double>(box.hi().y) + diag_margin)};
+      const DVec2 center{rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi)};
       double angle = 0.0;
       if (rng.uniform() < model.outlier_fraction) {
         angle = rng.uniform(-kPi / 2, kPi / 2);
       } else {
-        angle = rng.normal(0.0, model.angle_sigma_deg * kPi / 180.0);
+        angle = rng.normal(0.0, angle_sigma);
       }
-      const double len = std::exp(rng.normal(
-                             std::log(model.mean_length_lambda),
-                             model.length_sigma)) *
-                         geom::kLambda;
-      const double bend =
-          rng.normal(0.0, model.bend_sigma_deg * kPi / 180.0);
+      const double len =
+          std::exp(rng.normal(log_mean_length, model.length_sigma)) *
+          geom::kLambda;
+      const double bend = rng.normal(0.0, bend_sigma);
+      // Every polyline point lies within len/2 (plus rounding slack) of
+      // the center, so a tube whose reach box misses every band has no
+      // effect; its draws are taken, so skipping it keeps the stream.
+      const double reach = len * (0.5 + 1e-9) + 1e-6;
+      if (!index.may_touch_bands({center.x - reach, center.y - reach},
+                                 {center.x + reach, center.y + reach})) {
+        continue;
+      }
 
       // Two-segment polyline: half the tube on each side of the kink.
       const DVec2 dir1{std::cos(angle), std::sin(angle)};
       const DVec2 dir2{std::cos(angle + bend), std::sin(angle + bend)};
-      const DVec2 start = center - dir1 * (len / 2);
-      const DVec2 mid = center;
-      const DVec2 end = center + dir2 * (len / 2);
-
-      scratch.polyline.assign({start, mid, end});
-      scratch.effects.clear();
+      const std::array<DVec2, 3> polyline{center - dir1 * (len / 2), center,
+                                          center + dir2 * (len / 2)};
       if (tracer == TracerKind::kNaive) {
-        trace_tube_into(geo, scratch.polyline, scratch.arena,
-                        scratch.effects);
+        trace_naive(geo, polyline, scratch.arena, add_effect);
       } else {
-        trace_tube_into(index, scratch.polyline, scratch.arena,
-                        scratch.effects);
-      }
-      for (const auto& effect : scratch.effects) {
-        any_effect = true;
-        if (effect.is_short()) {
-          ++trial_shorts;
-        } else {
-          ++trial_chains;
-        }
-        apply_effect(augmented, effect);
+        trace_indexed(index, polyline, scratch.arena, add_effect);
       }
     }
-    tubes_sampled += model.tubes_per_trial;
     stray_shorts += trial_shorts;
     stray_chains += trial_chains;
     shorts_histogram.add(trial_shorts);
     chains_histogram.add(trial_chains);
-    if (any_effect && !augmented.check_function(function).ok) {
-      ++failing_trials;
+    if (trial_shorts + trial_chains > 0) {
+      netlist::flood_rows(scratch.edges, num_nets, scratch.reach);
+      if (!netlist::judge_rows(scratch.reach, function).ok) ++failing_trials;
     }
   };
 
@@ -538,7 +550,8 @@ MonteCarloResult monte_carlo(const layout::CellLayout& layout,
   MonteCarloResult result;
   result.trials = trials;
   result.failing_trials = failing_trials.load();
-  result.tubes_sampled = tubes_sampled.load();
+  result.tubes_sampled =
+      static_cast<std::int64_t>(trials) * model.tubes_per_trial;
   result.stray_shorts = stray_shorts.load();
   result.stray_chains = stray_chains.load();
   result.shorts_histogram = shorts_histogram.counts();

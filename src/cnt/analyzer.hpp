@@ -25,9 +25,14 @@
 //    of straight mispositioned tubes.
 //  * monte_carlo — samples bent, tilted, displaced tubes (beyond the
 //    straight-tube proof) and reports functional yield.
+//
+// Neither engine copies a netlist: both append the stray devices to the
+// cell's conduction edges (append_stray_edges) and run one bit-parallel
+// flood (netlist::flood_rows) over every truth-table row.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,8 +61,14 @@ struct StrayEffect {
   [[nodiscard]] bool is_short() const { return chain.empty(); }
 };
 
-/// Adds a stray effect onto a netlist copy (fresh internal nets per link).
-void apply_effect(netlist::CellNetlist& cell, const StrayEffect& effect);
+/// Appends the stray devices of the effect (a, b, chain) to a conduction
+/// edge list over input block 0: a short conducts in every row, and a
+/// chain puts a fresh net between consecutive links, numbered from
+/// `num_nets` up (which grows by chain.size() - 1).
+void append_stray_edges(netlist::NetId a, netlist::NetId b,
+                        std::span<const StrayLink> chain,
+                        std::vector<netlist::ConductionEdge>& edges,
+                        int& num_nets);
 
 /// Result of the straight-tube immunity proof.
 struct ImmunityReport {
@@ -127,7 +138,8 @@ struct MonteCarloResult {
 enum class TracerKind { kIndexed, kNaive };
 
 /// Samples `trials` cell instances, each hit by tubes_per_trial mispositioned
-/// tubes, and evaluates the augmented netlist functionally per instance.
+/// tubes, and evaluates the cell plus the instance's stray devices
+/// functionally. A warm trial allocates nothing.
 ///
 /// Reproducibility contract: trial `i` draws from its own RNG stream
 /// `util::Xoshiro256(util::derive_stream(seed, i))` (counter-based seeding),
@@ -148,23 +160,19 @@ enum class TracerKind { kIndexed, kNaive };
     const layout::CellGeometry& geometry,
     const std::vector<geom::DVec2>& polyline);
 
-/// Explicitly-named alias of the naive reference tracer, for A/B gates.
-[[nodiscard]] std::vector<StrayEffect> trace_tube_naive(
-    const layout::CellGeometry& geometry,
-    const std::vector<geom::DVec2>& polyline);
-
 /// Index-accelerated tracer: identical effect list to the naive tracer
 /// (same clip math on a conservative candidate superset, normalized
 /// through the same total-order event sort), at a fraction of the cost.
 [[nodiscard]] std::vector<StrayEffect> trace_tube(
     const GeometryIndex& index, const std::vector<geom::DVec2>& polyline);
 
-/// Hot-loop variants with caller-owned storage: event/chain scratch lives
-/// in `arena`, which is reset before any scratch is claimed (callers must
+/// Variants with caller-owned storage: event/chain scratch lives in
+/// `arena`, which is reset before any scratch is claimed (callers must
 /// not hold arena data across calls), and effects are APPENDED to
 /// `effects`. With warm buffers a trace allocates nothing unless it
-/// records a chain-bearing effect — this is what monte_carlo runs per
-/// tube, and what bench_mc times for the tracer-only A/B.
+/// records a chain-bearing effect. monte_carlo runs the same tracers
+/// with its own effect sink, which copies no chain; bench_mc times these
+/// for the tracer-only A/B.
 void trace_tube_into(const layout::CellGeometry& geometry,
                      const std::vector<geom::DVec2>& polyline,
                      util::Arena& arena, std::vector<StrayEffect>& effects);

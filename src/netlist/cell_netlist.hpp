@@ -6,9 +6,15 @@
 // the stray devices on the cell netlist leaves the evaluated function
 // unchanged with no supply short" — so stray devices and rail shorts are
 // first-class citizens here, not an afterthought.
+//
+// Evaluation is bit-parallel: each device is a ConductionEdge carrying the
+// mask of input rows (64 per block) in which it conducts, and one flood
+// gives every net's VDD and GND reach in all of them. A truth table has at
+// most 64 rows, so one flood checks a whole cell function.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +61,37 @@ struct FunctionalReport {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// Rows of the 64-row input block `block` (bit r stands for input row
+/// 64 * block + r) in which a FET conducts: an N-FET where its gate input
+/// is 1, a P-FET where it is 0. Inputs 0-5 vary within a block; higher
+/// inputs are constant across it.
+[[nodiscard]] inline std::uint64_t conducting_rows(FetType type,
+                                                   int gate_input,
+                                                   std::uint64_t block) {
+  constexpr std::uint64_t kHigh[6] = {
+      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  const std::uint64_t high =
+      gate_input < 6 ? kHigh[gate_input]
+                     : 0 - ((block >> (gate_input - 6)) & 1);
+  return type == FetType::kN ? high : ~high;
+}
+
+/// A potential conduction path between two nets (a FET channel or a
+/// short) and the rows of one 64-row input block in which it conducts.
+struct ConductionEdge {
+  NetId a = 0;
+  NetId b = 0;
+  std::uint64_t rows = 0;
+};
+
+/// Per-net supply reach over one 64-row block: bit r of from_vdd (from_gnd)
+/// is set when the net connects to VDD (GND) in row r.
+struct RowReach {
+  std::uint64_t from_vdd = 0;
+  std::uint64_t from_gnd = 0;
+};
+
 /// A single-output static cell: FETs between the fixed rails/output nets and
 /// optional internal nets, controlled by `num_inputs` input signals.
 class CellNetlist {
@@ -75,23 +112,6 @@ class CellNetlist {
   void add_fet(Fet fet);
   void add_short(RailShort s);
 
-  /// Size snapshot for rollback(): nets, FETs and shorts are append-only,
-  /// so truncating back to a mark restores the exact pre-mark netlist.
-  /// This is the Monte Carlo hot path — each trial superimposes stray
-  /// devices on a persistent per-worker copy and rewinds, instead of
-  /// re-copying the whole netlist (and every net-name string) per trial.
-  struct Mark {
-    std::size_t num_nets = 0;
-    std::size_t num_fets = 0;
-    std::size_t num_shorts = 0;
-  };
-  [[nodiscard]] Mark mark() const {
-    return {net_names_.size(), fets_.size(), shorts_.size()};
-  }
-  /// Discards everything added after `m` (contract: `m` was taken on this
-  /// netlist and nothing was removed since).
-  void rollback(const Mark& m);
-
   [[nodiscard]] const std::vector<Fet>& fets() const { return fets_; }
   [[nodiscard]] const std::vector<RailShort>& shorts() const {
     return shorts_;
@@ -99,6 +119,10 @@ class CellNetlist {
 
   /// FETs of one polarity (the PUN is the P plane, the PDN the N plane).
   [[nodiscard]] std::vector<Fet> plane_fets(FetType type) const;
+
+  /// Every FET channel and short as a ConductionEdge over 64-row block `block`.
+  [[nodiscard]] std::vector<ConductionEdge> conduction_edges(
+      std::uint64_t block = 0) const;
 
   /// Switch-level value at `net` for the given input vector (bit i of
   /// `input_row` drives input i).
@@ -114,18 +138,25 @@ class CellNetlist {
       const logic::TruthTable& expected) const;
 
  private:
-  struct Reach {
-    bool from_vdd = false;
-    bool from_gnd = false;
-  };
-  [[nodiscard]] std::vector<Reach> reachability(std::uint64_t input_row) const;
-  [[nodiscard]] bool fet_is_on(const Fet& fet, std::uint64_t input_row) const;
-
   int num_inputs_;
   std::vector<std::string> net_names_;
   std::vector<Fet> fets_;
   std::vector<RailShort> shorts_;
 };
+
+/// The switch-level kernel. Floods VDD and GND over `edges` among
+/// `num_nets` nets for all 64 rows of a block at once, relaxing
+/// reach[b] |= reach[a] & rows (both directions) until nothing changes.
+/// `reach` is resized to `num_nets` and overwritten; with warm capacity
+/// the call allocates nothing.
+void flood_rows(std::span<const ConductionEdge> edges, int num_nets,
+                std::vector<RowReach>& reach);
+
+/// Judges OUT against `expected` from the block-0 reach masks of a flood:
+/// every row needs a clean High/Low matching the table and no supply
+/// short. The first failing row is reported.
+[[nodiscard]] FunctionalReport judge_rows(std::span<const RowReach> reach,
+                                          const logic::TruthTable& expected);
 
 /// Options controlling transistor sizing during cell construction.
 struct SizingRule {

@@ -101,6 +101,24 @@ void check_gen_limits(const gen::GenOptions& gopt) {
   }
 }
 
+/// Refuses a request field outside [lo, hi], naming the field and range.
+int require_in_range(const char* field, int value, int lo, int hi) {
+  if (value < lo || value > hi) {
+    throw util::Error(std::string(field) + " must be in [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) +
+                      "], got " + std::to_string(value));
+  }
+  return value;
+}
+
+/// An optional thread-count field (0 = every hardware thread), refused
+/// beyond RequestLimits::kMaxThreads.
+int threads_field(const json::Value& payload, const char* field) {
+  const json::Value* t = payload.find(field);
+  if (t == nullptr) return 1;
+  return require_in_range(field, t->as_int(), 0, RequestLimits::kMaxThreads);
+}
+
 json::Value compile(const Request& request) {
   const api::FlowJob job = api::flow_job_from_json(request.payload.at("job"));
   auto flow = api::Flow::from_job(job);
@@ -161,20 +179,14 @@ json::Value sta(const Request& request) {
 
 json::Value monte_carlo(const Request& request) {
   const std::string& cell = request.payload.get_string("cell");
-  const int trials = request.payload.get_int("trials");
-  if (trials < 0 || trials > RequestLimits::kMaxTrials) {
-    throw util::Error("trials must be in [0, " +
-                      std::to_string(RequestLimits::kMaxTrials) + "], got " +
-                      std::to_string(trials));
-  }
+  const int trials = require_in_range("trials",
+                                      request.payload.get_int("trials"), 1,
+                                      RequestLimits::kMaxTrials);
   std::uint64_t seed = 1;
   if (const json::Value* s = request.payload.find("seed")) {
     seed = static_cast<std::uint64_t>(s->as_int64());
   }
-  int threads = 1;
-  if (const json::Value* t = request.payload.find("threads")) {
-    threads = t->as_int();
-  }
+  const int threads = threads_field(request.payload, "threads");
   const auto built = layout::build_cell(layout::find_cell_spec(cell));
   const auto mc = cnt::monte_carlo(built.layout, built.netlist, built.function,
                                    cnt::TubeModel{}, trials, seed, threads);
@@ -198,9 +210,7 @@ json::Value batch(const Request& request) {
     jobs.push_back(api::flow_job_from_json(job));
   }
   api::BatchOptions options;
-  if (const json::Value* n = request.payload.find("num_threads")) {
-    options.num_threads = n->as_int();
-  }
+  options.num_threads = threads_field(request.payload, "num_threads");
   if (const json::Value* f = request.payload.find("fail_fast")) {
     options.fail_fast = f->as_bool();
   }

@@ -23,8 +23,9 @@
 //   sta          {job: <FlowJob>}            -> result {metrics, sta}
 //   monte_carlo  {cell, trials, seed, threads} -> result {trials, ...,
 //                 mc: <MonteCarloResult>} — "mc" is the full serialized
-//                 result (per-trial histograms included); trials is
-//                 capped at RequestLimits::kMaxTrials
+//                 result (per-trial histograms included); trials must lie
+//                 in [1, RequestLimits::kMaxTrials] and threads in
+//                 [0, RequestLimits::kMaxThreads]
 //   batch        {jobs: [<FlowJob>...], num_threads, fail_fast}
 //                                            -> result {report}
 //   gen          {gen: <GenOptions>, options: <FlowOptions>?,
@@ -77,6 +78,9 @@ struct WireLimits {
 struct RequestLimits {
   /// Monte Carlo trials per request.
   static constexpr int kMaxTrials = 10'000'000;
+  /// Monte Carlo `threads` and batch `num_threads` (0 = every hardware
+  /// thread): more than any host the repository targets has.
+  static constexpr int kMaxThreads = 256;
   /// Operand width of the adder families (rca, cla).
   static constexpr int kMaxAdderWidth = 4096;
   /// Operand width of the array multiplier (~11 N^2 gates).

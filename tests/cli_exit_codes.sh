@@ -40,6 +40,7 @@ expect "serve bad port"       2 -- "$CNFETC" serve --port 99999
 expect "serve bad timeout"    2 -- "$CNFETC" serve --idle-timeout-ms banana
 expect "serve bad max-conns"  2 -- "$CNFETC" serve --max-connections many
 expect "monte-carlo --naive"  2 -- "$CNFETC" monte-carlo --cell NAND3 --naive
+expect "zero trials"          2 -- "$CNFETC" monte-carlo --cell NAND3 --trials 0
 expect "help exits 0"         0 -- "$CNFETC" help
 expect "--help exits 0"       0 -- "$CNFETC" --help
 
@@ -49,6 +50,7 @@ expect "unknown cell is 1"    1 -- "$CNFETC" compile --cell NO_SUCH_CELL --out /
 expect "dead server is 1"     1 -- "$CNFETC" ping --server 127.0.0.1:1
 # Request ceilings (serve::RequestLimits) refuse in-process as served.
 expect "trials over ceiling"  1 -- "$CNFETC" monte-carlo --cell NAND3 --trials 20000000
+expect "threads over ceiling" 1 -- "$CNFETC" monte-carlo --cell NAND3 --trials 10 --threads 100000
 expect "gen over ceiling"     1 -- "$CNFETC" gen --family rca --width 2000000000 --out /tmp/cli_test_dir.$$
 rm -rf "/tmp/cli_test_dir.$$"
 

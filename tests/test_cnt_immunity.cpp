@@ -205,15 +205,88 @@ TEST(MonteCarlo, WilderMisalignmentStillCannotBreakImmuneLayout) {
   EXPECT_EQ(result.failing_trials, 0);
 }
 
-TEST(ApplyEffect, ShortAndChainSemantics) {
-  auto cell = netlist::build_static_cell(logic::parse_expr("A"));
-  apply_effect(cell, StrayEffect{CellNetlist::kVdd, CellNetlist::kOut, {}});
-  EXPECT_EQ(cell.shorts().size(), 1u);
-  apply_effect(cell,
-               StrayEffect{CellNetlist::kVdd,
-                           CellNetlist::kOut,
-                           {{0, netlist::FetType::kP}}});
-  EXPECT_EQ(cell.fets().size(), 3u);  // 2 intrinsic + 1 stray
+/// A histogram pinned by its leading buckets; the rest are zero.
+std::vector<std::int64_t> histogram(std::vector<std::int64_t> leading) {
+  leading.resize(MonteCarloResult::kHistogramBuckets, 0);
+  return leading;
+}
+
+TEST(MonteCarlo, PinnedResultsAtFixedSeed) {
+  // Recorded from the netlist-copy trial loop that predates the
+  // bit-parallel edge-delta trial: every tally and histogram bucket must
+  // stay bit-identical, at any thread count.
+  TubeModel wild;
+  wild.angle_sigma_deg = 30.0;
+  wild.outlier_fraction = 0.25;
+  wild.bend_sigma_deg = 25.0;
+  wild.tubes_per_trial = 60;
+  struct Pinned {
+    const char* cell;
+    LayoutStyle style;
+    TubeModel model;
+    int trials;
+    std::uint64_t seed;
+    int failing_trials;
+    std::int64_t stray_shorts;
+    std::int64_t stray_chains;
+    std::vector<std::int64_t> shorts_histogram;
+    std::vector<std::int64_t> chains_histogram;
+  };
+  const std::vector<Pinned> pinned = {
+      {"NAND3", LayoutStyle::kCompactEuler, TubeModel{}, 3000, 2024, 0, 0,
+       3798, histogram({3000}),
+       histogram({1161, 834, 468, 282, 155, 59, 26, 10, 4, 1})},
+      {"AOI22", LayoutStyle::kCompactEuler, TubeModel{}, 3000, 2024, 0, 0,
+       8851, histogram({3000}),
+       histogram({560, 498, 468, 403, 358, 238, 168, 123, 70, 47, 31, 21, 8,
+                  4, 1, 1, 1})},
+      {"NAND2", LayoutStyle::kNaiveVulnerable, TubeModel{}, 3000, 2024, 810,
+       956, 3217, histogram({2190, 681, 113, 15, 1}),
+       histogram({1163, 950, 539, 241, 74, 29, 3, 1})},
+      {"NAND2", LayoutStyle::kNaiveVulnerable, wild, 2000, 99, 748, 973, 2547,
+       histogram({1252, 567, 145, 29, 6, 1}),
+       histogram({593, 691, 426, 199, 61, 20, 7, 3})},
+  };
+  for (const auto& p : pinned) {
+    const auto built = make(p.cell, p.style);
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE(std::string(p.cell) + " seed " + std::to_string(p.seed) +
+                   " threads " + std::to_string(threads));
+      const auto r = monte_carlo(built.layout, built.netlist, built.function,
+                                 p.model, p.trials, p.seed, threads);
+      EXPECT_EQ(r.trials, p.trials);
+      EXPECT_EQ(r.failing_trials, p.failing_trials);
+      EXPECT_EQ(r.tubes_sampled,
+                std::int64_t{p.trials} * p.model.tubes_per_trial);
+      EXPECT_EQ(r.stray_shorts, p.stray_shorts);
+      EXPECT_EQ(r.stray_chains, p.stray_chains);
+      EXPECT_EQ(r.shorts_histogram, p.shorts_histogram);
+      EXPECT_EQ(r.chains_histogram, p.chains_histogram);
+    }
+  }
+}
+
+TEST(StrayEdges, ShortAndChainSemantics) {
+  std::vector<netlist::ConductionEdge> edges;
+  int num_nets = 3;
+  append_stray_edges(CellNetlist::kVdd, CellNetlist::kOut, {}, edges,
+                     num_nets);
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].rows, ~0ull);  // a short conducts in every row
+  const StrayLink chain[] = {{0, netlist::FetType::kP},
+                             {1, netlist::FetType::kN}};
+  append_stray_edges(CellNetlist::kVdd, CellNetlist::kGnd, chain, edges,
+                     num_nets);
+  ASSERT_EQ(edges.size(), 3u);
+  EXPECT_EQ(num_nets, 4);  // one fresh net between the two links
+  EXPECT_EQ(edges[1].a, CellNetlist::kVdd);
+  EXPECT_EQ(edges[1].b, 3);
+  EXPECT_EQ(edges[1].rows,
+            netlist::conducting_rows(netlist::FetType::kP, 0, 0));
+  EXPECT_EQ(edges[2].a, 3);
+  EXPECT_EQ(edges[2].b, CellNetlist::kGnd);
+  EXPECT_EQ(edges[2].rows,
+            netlist::conducting_rows(netlist::FetType::kN, 1, 0));
 }
 
 }  // namespace

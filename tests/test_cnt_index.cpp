@@ -111,7 +111,7 @@ TEST(CntIndex, IndexedTracerMatchesNaiveOnFuzzedGeometries) {
     const cnt::GeometryIndex index(geo);
     for (int tube = 0; tube < 40; ++tube) {
       const auto poly = fuzz_polyline(rng, geo);
-      const auto naive = cnt::trace_tube_naive(geo, poly);
+      const auto naive = cnt::trace_tube(geo, poly);
       const auto indexed = cnt::trace_tube(index, poly);
       ASSERT_TRUE(effects_equal(naive, indexed))
           << "round " << round << " tube " << tube << ": naive "
@@ -136,7 +136,7 @@ TEST(CntIndex, IndexedTracerMatchesNaiveOnStandardCells) {
                         rng.uniform(static_cast<double>(box.lo().y) - 3000,
                                     static_cast<double>(box.hi().y) + 3000)});
       }
-      const auto naive = cnt::trace_tube_naive(geo, poly);
+      const auto naive = cnt::trace_tube(geo, poly);
       const auto indexed = cnt::trace_tube(index, poly);
       ASSERT_TRUE(effects_equal(naive, indexed)) << spec.name;
     }

@@ -1,8 +1,12 @@
 // Unit tests for transistor netlists and the switch-level evaluator.
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <vector>
+
 #include "logic/expr.hpp"
 #include "netlist/cell_netlist.hpp"
+#include "util/rng.hpp"
 
 namespace cnfet::netlist {
 namespace {
@@ -115,6 +119,187 @@ TEST(SwitchLevel, InternalNetNamesAreStable) {
   EXPECT_EQ(cell.net_name(0), "GND");
   EXPECT_EQ(cell.net_name(1), "VDD");
   EXPECT_EQ(cell.net_name(2), "OUT");
+}
+
+// --- Oracle: the per-row BFS evaluator -----------------------------------
+//
+// The straightforward switch-level semantics the bit-parallel kernel must
+// reproduce: for one input row, BFS from VDD and from GND over the ON
+// FETs (N where the gate is 1, P where it is 0) and every short.
+
+struct OracleReach {
+  bool from_vdd = false;
+  bool from_gnd = false;
+};
+
+std::vector<OracleReach> oracle_reach(const CellNetlist& cell,
+                                      std::uint64_t row) {
+  const auto nets = static_cast<std::size_t>(cell.num_nets());
+  std::vector<std::vector<NetId>> adjacency(nets);
+  const auto connect = [&](NetId a, NetId b) {
+    adjacency[static_cast<std::size_t>(a)].push_back(b);
+    adjacency[static_cast<std::size_t>(b)].push_back(a);
+  };
+  for (const auto& f : cell.fets()) {
+    const bool gate_high = ((row >> f.gate_input) & 1) != 0;
+    if (f.type == FetType::kN ? gate_high : !gate_high) connect(f.a, f.b);
+  }
+  for (const auto& s : cell.shorts()) connect(s.a, s.b);
+  std::vector<OracleReach> reach(nets);
+  const auto flood = [&](NetId seed, bool OracleReach::* field) {
+    std::vector<bool> seen(nets, false);
+    std::queue<NetId> queue;
+    queue.push(seed);
+    seen[static_cast<std::size_t>(seed)] = true;
+    while (!queue.empty()) {
+      const NetId n = queue.front();
+      queue.pop();
+      reach[static_cast<std::size_t>(n)].*field = true;
+      for (const NetId next : adjacency[static_cast<std::size_t>(n)]) {
+        if (!seen[static_cast<std::size_t>(next)]) {
+          seen[static_cast<std::size_t>(next)] = true;
+          queue.push(next);
+        }
+      }
+    }
+  };
+  flood(CellNetlist::kVdd, &OracleReach::from_vdd);
+  flood(CellNetlist::kGnd, &OracleReach::from_gnd);
+  return reach;
+}
+
+Level oracle_level(const OracleReach& r) {
+  if (r.from_vdd && r.from_gnd) return Level::kFight;
+  if (r.from_vdd) return Level::kHigh;
+  if (r.from_gnd) return Level::kLow;
+  return Level::kFloat;
+}
+
+FunctionalReport oracle_check(const CellNetlist& cell,
+                              const TruthTable& expected) {
+  FunctionalReport report;
+  for (std::uint64_t row = 0; row < expected.num_rows(); ++row) {
+    const auto reach = oracle_reach(cell, row);
+    const Level level = oracle_level(reach[CellNetlist::kOut]);
+    const bool want_high = expected.eval(row);
+    const bool supply_short = reach[CellNetlist::kVdd].from_gnd;
+    if (supply_short || level != (want_high ? Level::kHigh : Level::kLow)) {
+      report.ok = false;
+      report.failing_row = row;
+      report.observed = level;
+      report.expected_high = want_high;
+      report.supply_short = supply_short;
+      return report;
+    }
+  }
+  return report;
+}
+
+/// Random PDN expression over `n` inputs: AND/OR trees of positive
+/// literals, every input used at least once.
+logic::Expr random_pdn(util::Xoshiro256& rng, int n) {
+  std::vector<logic::Expr> terms;
+  for (int i = 0; i < n; ++i) terms.push_back(logic::Expr::var(i));
+  while (terms.size() > 1) {
+    const auto i = rng.below(terms.size());
+    auto a = terms[i];
+    terms.erase(terms.begin() + static_cast<std::ptrdiff_t>(i));
+    const auto j = rng.below(terms.size());
+    auto b = terms[j];
+    terms[j] = rng.below(2) == 0 ? logic::Expr::make_and({a, b})
+                                 : logic::Expr::make_or({a, b});
+  }
+  return terms.front();
+}
+
+/// A random netlist over `n` inputs: either a static cell with stray
+/// devices superimposed (mostly functional, failing at scattered rows)
+/// or a random device soup. Strays are FETs, shorts and series chains
+/// through fresh nets, as a mispositioned tube would add them.
+CellNetlist random_netlist(util::Xoshiro256& rng, int n) {
+  const bool static_cell = rng.below(2) == 0;
+  CellNetlist cell =
+      static_cell ? build_static_cell(random_pdn(rng, n)) : CellNetlist(n);
+  // Static cells get few strays, so some stay functional.
+  const std::uint64_t strays = static_cell ? 3 : 8;
+  for (auto k = rng.below(4); k > 0; --k) cell.add_net("x");
+  const auto any_net = [&] {
+    return static_cast<NetId>(rng.below(static_cast<std::uint64_t>(
+        cell.num_nets())));
+  };
+  const auto any_fet = [&](NetId a, NetId b) {
+    return Fet{rng.below(2) == 0 ? FetType::kN : FetType::kP,
+               static_cast<int>(rng.below(static_cast<std::uint64_t>(n))), a,
+               b, 4.0};
+  };
+  for (auto k = rng.below(strays); k > 0; --k) {
+    cell.add_fet(any_fet(any_net(), any_net()));
+  }
+  if (rng.below(strays) == 0) cell.add_short({any_net(), any_net()});
+  for (auto chains = rng.below(strays / 2 + 1); chains > 0; --chains) {
+    const NetId to = any_net();
+    NetId at = any_net();
+    for (auto links = rng.below(3) + 1; links > 0; --links) {
+      const NetId next = links == 1 ? to : cell.add_net("stray");
+      cell.add_fet(any_fet(at, next));
+      at = next;
+    }
+  }
+  return cell;
+}
+
+TEST(SwitchLevelOracle, CheckFunctionMatchesPerRowBfs) {
+  util::Xoshiro256 rng(20240817);
+  int failing = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const int n = 1 + static_cast<int>(rng.below(TruthTable::kMaxInputs));
+    const CellNetlist cell = random_netlist(rng, n);
+    // Half the specs are the netlist's own OUT levels (High -> 1) so
+    // both passing and failing reports occur; half are random tables.
+    TruthTable expected(n, rng());
+    if (rng.below(2) == 0) {
+      for (std::uint64_t row = 0; row < expected.num_rows(); ++row) {
+        const auto out = oracle_reach(cell, row)[CellNetlist::kOut];
+        expected.set(row, oracle_level(out) == Level::kHigh);
+      }
+    }
+    const FunctionalReport want = oracle_check(cell, expected);
+    const FunctionalReport got = cell.check_function(expected);
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    ASSERT_EQ(got.ok, want.ok);
+    ASSERT_EQ(got.failing_row, want.failing_row);
+    ASSERT_EQ(got.observed, want.observed);
+    ASSERT_EQ(got.expected_high, want.expected_high);
+    ASSERT_EQ(got.supply_short, want.supply_short);
+    if (!got.ok) ++failing;
+  }
+  // The fuzz exercised both outcomes.
+  EXPECT_GT(failing, 300);
+  EXPECT_LT(failing, 2700) << "passing: " << 3000 - failing;
+}
+
+TEST(SwitchLevelOracle, EvaluateMatchesPerRowBfsUpToTwelveInputs) {
+  util::Xoshiro256 rng(77);
+  for (int iter = 0; iter < 300; ++iter) {
+    const int n = 1 + static_cast<int>(rng.below(12));
+    const CellNetlist cell = random_netlist(rng, n);
+    // Every row for small cells; a sample across all blocks for wide ones.
+    const std::uint64_t rows = 1ull << n;
+    const std::uint64_t samples = rows <= 256 ? rows : 64;
+    for (std::uint64_t k = 0; k < samples; ++k) {
+      const std::uint64_t row = rows <= 256 ? k : rng.below(rows);
+      const auto reach = oracle_reach(cell, row);
+      SCOPED_TRACE("iteration " + std::to_string(iter) + " row " +
+                   std::to_string(row));
+      ASSERT_EQ(cell.has_supply_short(row),
+                reach[CellNetlist::kVdd].from_gnd);
+      for (NetId net = 0; net < cell.num_nets(); ++net) {
+        ASSERT_EQ(cell.evaluate(row, net),
+                  oracle_level(reach[static_cast<std::size_t>(net)]))
+            << "net " << net;
+      }
+    }
+  }
 }
 
 TEST(SwitchLevel, RejectsMalformedFets) {

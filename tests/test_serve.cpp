@@ -604,6 +604,57 @@ TEST_F(ServeTest, OversizedRequestsAreRefusedBeforeTheEngineAllocates) {
   EXPECT_TRUE(c.ping());
 }
 
+TEST_F(ServeTest, OutOfRangeTrialsAndThreadsAreRefusedWithTheirRange) {
+  const int port = start();
+  auto c = client(port);
+  const auto mc_request = [](int trials, int threads) {
+    json::Value request = serve::make_request(serve::RequestKind::kMonteCarlo);
+    request.set("cell", "NAND3");
+    request.set("trials", trials);
+    request.set("threads", threads);
+    return request;
+  };
+  const auto batch_request = [](int num_threads) {
+    json::Value request = serve::make_request(serve::RequestKind::kBatch);
+    request.set("jobs", json::Value::array());
+    request.set("num_threads", num_threads);
+    return request;
+  };
+  const std::string max_threads =
+      std::to_string(serve::RequestLimits::kMaxThreads);
+  // (request, the range its Diagnostic must name)
+  const std::vector<std::pair<json::Value, std::string>> refused = {
+      {mc_request(0, 1),
+       "trials must be in [1, " +
+           std::to_string(serve::RequestLimits::kMaxTrials) + "], got 0"},
+      {mc_request(-5, 1), "trials must be in [1, "},
+      {mc_request(10, 10'000'000),
+       "threads must be in [0, " + max_threads + "], got 10000000"},
+      {mc_request(10, -1), "threads must be in [0, " + max_threads + "]"},
+      {batch_request(2'000'000'000),
+       "num_threads must be in [0, " + max_threads + "]"},
+      {batch_request(-3), "num_threads must be in [0, " + max_threads + "]"},
+  };
+  for (const auto& [request, range] : refused) {
+    SCOPED_TRACE(json::dump(request));
+    const json::Value local = execute_locally(request);
+    EXPECT_FALSE(local.get_bool("ok"));
+    EXPECT_NE(diagnostics_of(local).find(range), std::string::npos)
+        << diagnostics_of(local);
+    auto served = c.call(request);
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(json::dump(served.value()), json::dump(local));
+    EXPECT_TRUE(c.ping());
+  }
+  // The ends of the ranges are admitted.
+  for (const auto& request : {mc_request(1, 0), mc_request(1, 1)}) {
+    auto served = c.call(request);
+    ASSERT_TRUE(served.ok());
+    EXPECT_TRUE(served.value().get_bool("ok"))
+        << diagnostics_of(served.value());
+  }
+}
+
 TEST_F(ServeTest, ConcurrentClientsAllGetIdenticalCorrectResults) {
   const int port = start();
   const std::vector<std::string> cells = {"INV", "NAND2", "NOR2", "NAND3"};
