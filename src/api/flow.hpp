@@ -353,6 +353,11 @@ class Flow {
   /// Returns the failure diagnostic, or nullopt on success.
   std::optional<util::Diagnostic> build_routed();
 
+  /// The session's stored artifacts in file order: the one field list
+  /// session_json() writes and resume_json() reads (api/serialize.cpp).
+  template <typename S, typename F>
+  static void artifact_fields(S& flow, F&& f);
+
   std::string name_;
   FlowOptions options_;
   LibraryHandle library_;

@@ -1,10 +1,12 @@
 #include "api/serialize.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "flow/gds_export.hpp"
@@ -18,143 +20,672 @@ namespace json = util::json;
 namespace {
 
 // --- enum <-> string ------------------------------------------------------
-// Every inverse scans the enumerators against the canonical to_string, so
-// the JSON vocabulary can never drift from the printed one.
+// Every enum travels as its printed to_string; every inverse scans the
+// enumerators against it, so the JSON vocabulary can never drift.
 
-template <typename Enum, typename ToString>
+const char* to_string(flow::MapCost cost) {
+  return cost == flow::MapCost::kGateCount ? "gate_count" : "delay";
+}
+
+template <typename Enum>
 Enum enum_from_string(const std::string& name,
-                      std::initializer_list<Enum> values, ToString to_str,
-                      const char* what) {
+                      std::initializer_list<Enum> values, const char* what) {
   for (const Enum value : values) {
-    if (name == to_str(value)) return value;
+    if (name == to_string(value)) return value;
   }
   throw util::Error(std::string("unknown ") + what + ": \"" + name + "\"");
 }
 
-layout::CellScheme scheme_from_string(const std::string& name) {
-  return enum_from_string(
+template <typename T>
+T value_or_throw(util::Result<T> result) {
+  if (!result.ok()) throw util::Error(result.error().message);
+  return std::move(result).value();
+}
+
+void parse(const std::string& name, layout::Tech& out) {
+  out = value_or_throw(tech_from_string(name));
+}
+void parse(const std::string& name, Stage& out) {
+  out = value_or_throw(stage_from_string(name));
+}
+void parse(const std::string& name, gen::Family& out) {
+  out = value_or_throw(gen::family_from_string(name));
+}
+void parse(const std::string& name, layout::CellScheme& out) {
+  out = enum_from_string(
       name, {layout::CellScheme::kScheme1, layout::CellScheme::kScheme2},
-      [](layout::CellScheme s) { return layout::to_string(s); },
       "cell scheme");
 }
-
-layout::LayoutStyle style_from_string(const std::string& name) {
-  return enum_from_string(
-      name,
-      {layout::LayoutStyle::kNaiveVulnerable,
-       layout::LayoutStyle::kEtchedIsolatedBranches,
-       layout::LayoutStyle::kEtchedIsolatedFets,
-       layout::LayoutStyle::kCompactEuler},
-      [](layout::LayoutStyle s) { return layout::to_string(s); },
-      "layout style");
+void parse(const std::string& name, layout::LayoutStyle& out) {
+  out = enum_from_string(name,
+                         {layout::LayoutStyle::kNaiveVulnerable,
+                          layout::LayoutStyle::kEtchedIsolatedBranches,
+                          layout::LayoutStyle::kEtchedIsolatedFets,
+                          layout::LayoutStyle::kCompactEuler},
+                         "layout style");
+}
+void parse(const std::string& name, util::Severity& out) {
+  out = enum_from_string(name,
+                         {util::Severity::kInfo, util::Severity::kWarning,
+                          util::Severity::kError},
+                         "severity");
+}
+void parse(const std::string& name, flow::MapCost& out) {
+  out = enum_from_string(
+      name, {flow::MapCost::kGateCount, flow::MapCost::kDelay}, "map cost");
 }
 
-util::Severity severity_from_string(const std::string& name) {
-  return enum_from_string(
-      name,
-      {util::Severity::kInfo, util::Severity::kWarning, util::Severity::kError},
-      [](util::Severity s) { return util::to_string(s); }, "severity");
+// --- the field lists ------------------------------------------------------
+// Each serialized struct states its keys once, in file order:
+// fields(s, f) calls f("key", s.member) per member. `s` is const when
+// writing and mutable when reading, so one list drives both directions.
+// Flat rows (row(s, f)) are the same idea without keys, for the shapes a
+// large design repeats tens of thousands of times.
+
+template <typename S, typename T>
+concept either = std::is_same_v<std::remove_const_t<S>, T>;
+
+/// Tag: the uint64 GenOptions::seed travels as a decimal string (JSON
+/// numbers are doubles).
+struct AsDecimal {};
+
+/// geom::Rect's stored form.
+struct Corners {
+  geom::Coord lo_x = 0, lo_y = 0, hi_x = 0, hi_y = 0;
+};
+
+/// The head of a saved session: read first, so resume can bind the
+/// characterized library before any cell name resolves through it.
+struct SessionHeader {
+  std::string name;
+  Stage stage = Stage::kCreated;
+  FlowOptions options;
+  std::string library_checksum;
+};
+
+/// jobs.json's payload.
+struct JobsFile {
+  std::vector<FlowJob> jobs;
+};
+
+template <either<Corners> S, typename F>
+void fields(S& c, F&& f) {
+  f("lo_x", c.lo_x);
+  f("lo_y", c.lo_y);
+  f("hi_x", c.hi_x);
+  f("hi_y", c.hi_y);
 }
 
-const char* map_cost_to_string(flow::MapCost cost) {
-  return cost == flow::MapCost::kGateCount ? "gate_count" : "delay";
+template <either<layout::DesignRules> S, typename F>
+void fields(S& r, F&& f) {
+  f("gate_len", r.gate_len);
+  f("contact_len", r.contact_len);
+  f("gate_contact_space", r.gate_contact_space);
+  f("gate_gate_space", r.gate_gate_space);
+  f("etch_len", r.etch_len);
+  f("contact_contact_space", r.contact_contact_space);
+  f("via_size", r.via_size);
+  f("gate_overhang", r.gate_overhang);
+  f("cnt_margin", r.cnt_margin);
+  f("pin_width", r.pin_width);
+  f("pun_pdn_gap", r.pun_pdn_gap);
+  f("strip_lane", r.strip_lane);
+  f("cell_margin", r.cell_margin);
+  f("wire_width", r.wire_width);
+  f("wire_spacing", r.wire_spacing);
+  f("route_pitch", r.route_pitch);
+  f("wire_sheet_res", r.wire_sheet_res);
+  f("wire_cap_per_lambda", r.wire_cap_per_lambda);
+  f("via_res", r.via_res);
+  f("tech", r.tech);
 }
 
-flow::MapCost map_cost_from_string(const std::string& name) {
-  return enum_from_string(
-      name, {flow::MapCost::kGateCount, flow::MapCost::kDelay},
-      map_cost_to_string, "map cost");
+template <either<liberty::TimingArc> S, typename F>
+void fields(S& a, F&& f) {
+  f("input", a.input);
+  f("out_rising", a.out_rising);
+  f("delay", a.delay);
+  f("out_slew", a.out_slew);
+  f("energy", a.energy);
 }
 
-Stage stage_from_string_or_throw(const std::string& name) {
-  auto stage = stage_from_string(name);
-  if (!stage.ok()) throw util::Error(stage.error().message);
-  return stage.value();
+/// A liberty::LibCell as read back: everything but the geometry, which
+/// the reader rebuilds from the spec name (see the liberty::Library codec).
+struct StoredCell {
+  std::string name;
+  std::string spec;
+  double drive = 1.0;
+  double area_lambda2 = 0.0;
+  std::vector<double> input_cap;
+  std::vector<liberty::TimingArc> arcs;
+};
+
+const std::string& spec_of(const liberty::LibCell& c) {
+  return c.built.spec.name;
+}
+std::string& spec_of(StoredCell& c) { return c.spec; }
+
+/// Only the characterization results travel, never the cell geometry.
+template <typename S, typename F>
+  requires either<S, liberty::LibCell> || either<S, StoredCell>
+void fields(S& c, F&& f) {
+  f("name", c.name);
+  f("spec", spec_of(c));
+  f("drive", c.drive);
+  f("area_lambda2", c.area_lambda2);
+  f("input_cap", c.input_cap);
+  f("arcs", c.arcs);
 }
 
-// --- small array helpers --------------------------------------------------
-
-json::Value doubles_to_json(const std::vector<double>& values) {
-  json::Value arr = json::Value::array();
-  for (const double v : values) arr.push_back(v);
-  return arr;
+template <either<gen::GenOptions> S, typename F>
+void fields(S& o, F&& f) {
+  f("family", o.family);
+  f("width", o.width);
+  f("target_gates", o.target_gates);
+  f("num_inputs", o.num_inputs);
+  f("seed", o.seed, AsDecimal{});
+  f("drive", o.drive);
 }
 
-std::vector<double> doubles_from_json(const json::Value& v) {
-  std::vector<double> out;
-  out.reserve(v.size());
-  for (const auto& item : v.items()) out.push_back(item.as_double());
-  return out;
+template <either<flow::Gate> S, typename F>
+void fields(S& g, F&& f) {
+  f("cell", g.cell);
+  f("name", g.name);
+  f("inputs", g.inputs);
+  f("output", g.output);
 }
 
-json::Value ints_to_json(const std::vector<int>& values) {
-  json::Value arr = json::Value::array();
-  for (const int v : values) arr.push_back(v);
-  return arr;
+template <either<flow::PlacedInstance> S, typename F>
+void fields(S& i, F&& f) {
+  f("gate", i.gate);
+  f("x", i.origin.x);
+  f("y", i.origin.y);
+  f("width", i.width);
+  f("height", i.height);
 }
 
-std::vector<int> ints_from_json(const json::Value& v) {
-  std::vector<int> out;
-  out.reserve(v.size());
-  for (const auto& item : v.items()) out.push_back(item.as_int());
-  return out;
+template <either<flow::PlacementResult> S, typename F>
+void fields(S& p, F&& f) {
+  f("scheme", p.scheme);
+  f("instances", p.instances);
+  f("bbox", p.bbox);
+  f("natural_area_lambda2", p.natural_area_lambda2);
+  f("placed_area_lambda2", p.placed_area_lambda2);
+  f("hpwl_lambda", p.hpwl_lambda);
 }
 
-json::Value int64s_to_json(const std::vector<std::int64_t>& values) {
-  json::Value arr = json::Value::array();
-  for (const std::int64_t v : values) arr.push_back(v);
-  return arr;
+template <either<route::RoutedNet> S, typename F>
+void fields(S& n, F&& f) {
+  f("net", n.net);
+  f("terminals", n.terminals);
+  f("wires", n.wires);
+  f("vias", n.vias);
+  f("length_lambda", n.length_lambda);
 }
 
-std::vector<std::int64_t> int64s_from_json(const json::Value& v) {
-  std::vector<std::int64_t> out;
-  out.reserve(v.size());
-  for (const auto& item : v.items()) out.push_back(item.as_int64());
-  return out;
+template <either<route::RoutingResult> S, typename F>
+void fields(S& r, F&& f) {
+  f("nets", r.nets);
+  f("pitch", r.pitch);
+  f("grid_bbox", r.grid_bbox);
+  f("total_wirelength_lambda", r.total_wirelength_lambda);
+  f("failed_nets", r.failed_nets);
 }
 
-json::Value strings_to_json(const std::vector<std::string>& values) {
-  json::Value arr = json::Value::array();
-  for (const auto& v : values) arr.push_back(v);
-  return arr;
+template <either<geom::Vec2> S, typename F>
+void row(S& v, F&& f) {
+  f(v.x);
+  f(v.y);
 }
 
-std::vector<std::string> strings_from_json(const json::Value& v) {
-  std::vector<std::string> out;
-  out.reserve(v.size());
-  for (const auto& item : v.items()) out.push_back(item.as_string());
-  return out;
+template <either<route::Wire> S, typename F>
+void row(S& w, F&& f) {
+  f(w.layer);
+  f(w.a.x);
+  f(w.a.y);
+  f(w.b.x);
+  f(w.b.y);
+  f(w.width);
 }
 
-// --- logic::Expr (structural — Expr::to_string() names variables A.. by
-// index while parse_expr numbers them by first appearance, so text would
-// not round-trip expressions whose variables appear out of index order) ---
+template <either<route::Via> S, typename F>
+void row(S& v, F&& f) {
+  f(v.at.x);
+  f(v.at.y);
+  f(v.size);
+}
 
-json::Value expr_to_json(const logic::Expr& expr) {
-  switch (expr.kind()) {
-    case logic::Expr::Kind::kVar: {
-      json::Value v = json::Value::object();
-      v.set("var", expr.var_index());
-      return v;
-    }
-    case logic::Expr::Kind::kAnd:
-    case logic::Expr::Kind::kOr: {
-      json::Value children = json::Value::array();
-      for (const auto& child : expr.children()) {
-        children.push_back(expr_to_json(child));
-      }
-      json::Value v = json::Value::object();
-      v.set(expr.kind() == logic::Expr::Kind::kAnd ? "and" : "or",
-            std::move(children));
-      return v;
-    }
-    case logic::Expr::Kind::kNot: {
-      json::Value v = json::Value::object();
-      v.set("not", expr_to_json(expr.children().front()));
-      return v;
+template <either<sta::StaOptions> S, typename F>
+void fields(S& o, F&& f) {
+  f("input_slew", o.input_slew);
+  f("wire_cap_per_fanout", o.wire_cap_per_fanout);
+  f("output_load", o.output_load);
+}
+
+template <either<flow::PlaceOptions> S, typename F>
+void fields(S& o, F&& f) {
+  f("scheme", o.scheme);
+  f("aspect_rows", o.aspect_rows);
+  f("cell_spacing_lambda", o.cell_spacing_lambda);
+  f("row_spacing_lambda", o.row_spacing_lambda);
+}
+
+template <either<drc::DrcOptions> S, typename F>
+void fields(S& o, F&& f) {
+  f("allow_vertical_gating", o.allow_vertical_gating);
+  f("deck", o.deck);
+}
+
+template <either<route::RouteOptions> S, typename F>
+void fields(S& o, F&& f) {
+  f("window_halo_cells", o.window_halo_cells);
+}
+
+/// options.library is deliberately absent: resume resolves the handle
+/// from LibraryCache::global(), and characterization is deterministic,
+/// so the reconstruction is exact.
+template <either<FlowOptions> S, typename F>
+void fields(S& o, F&& f) {
+  f("tech", o.tech);
+  f("drive", o.drive);
+  f("output_drive", o.output_drive);
+  f("verify", o.verify);
+  f("map_cost", o.map_cost);
+  f("optimize", o.optimize);
+  f("target_delay", o.target_delay);
+  f("max_area_growth", o.max_area_growth);
+  f("sta", o.sta);
+  f("place", o.place);
+  f("drc", o.drc);
+  f("route", o.route);
+  f("route_opts", o.route_opts);
+  f("top_name", o.top_name);
+}
+
+template <either<FlowMetrics> S, typename F>
+void fields(S& m, F&& f) {
+  f("name", m.name);
+  f("tech", m.tech);
+  f("stage", m.stage);
+  f("gates", m.gates);
+  f("nand2", m.nand2);
+  f("nor2", m.nor2);
+  f("inv", m.inv);
+  f("verified", m.verified);
+  f("worst_arrival_s", m.worst_arrival_s);
+  f("energy_per_cycle_j", m.energy_per_cycle_j);
+  f("edp_js", m.edp_js);
+  f("optimized", m.optimized);
+  f("pre_opt_worst_arrival_s", m.pre_opt_worst_arrival_s);
+  f("gates_resized", m.gates_resized);
+  f("buffers_inserted", m.buffers_inserted);
+  f("gates_removed", m.gates_removed);
+  f("opt_area_growth", m.opt_area_growth);
+  f("placed_area_lambda2", m.placed_area_lambda2);
+  f("utilization", m.utilization);
+  f("hpwl_lambda", m.hpwl_lambda);
+  f("cells_signed_off", m.cells_signed_off);
+  f("drc_violations", m.drc_violations);
+  f("all_immune", m.all_immune);
+  f("routed", m.routed);
+  f("total_wirelength", m.total_wirelength);
+  f("wire_cap_ff", m.wire_cap_ff);
+  f("wire_delay_ps", m.wire_delay_ps);
+  f("routed_worst_arrival_s", m.routed_worst_arrival_s);
+  f("wire_drc_violations", m.wire_drc_violations);
+  f("gds_structures", m.gds_structures);
+}
+
+template <either<util::Diagnostic> S, typename F>
+void fields(S& d, F&& f) {
+  f("severity", d.severity);
+  f("stage", d.stage);
+  f("message", d.message);
+}
+
+template <either<sta::StaResult> S, typename F>
+void fields(S& r, F&& f) {
+  f("worst_arrival", r.worst_arrival);
+  f("critical_output", r.critical_output);
+  f("critical_path", r.critical_path);
+  f("energy_per_cycle", r.energy_per_cycle);
+  f("arrival", r.arrival);
+  f("slew", r.slew);
+}
+
+/// Only raw tallies travel (yield is derived).
+template <either<cnt::MonteCarloResult> S, typename F>
+void fields(S& r, F&& f) {
+  f("trials", r.trials);
+  f("failing_trials", r.failing_trials);
+  f("tubes_sampled", r.tubes_sampled);
+  f("stray_shorts", r.stray_shorts);
+  f("stray_chains", r.stray_chains);
+  f("shorts_histogram", r.shorts_histogram);
+  f("chains_histogram", r.chains_histogram);
+}
+
+template <either<JobOutcome> S, typename F>
+void fields(S& o, F&& f) {
+  f("name", o.name);
+  f("ok", o.ok);
+  f("skipped", o.skipped);
+  f("reached", o.reached);
+  f("metrics", o.metrics);
+  f("diagnostics", o.diagnostics);
+}
+
+template <either<FlowReport> S, typename F>
+void fields(S& r, F&& f) {
+  f("jobs", r.jobs);
+  f("total_gates", r.total_gates);
+  f("total_area_lambda2", r.total_area_lambda2);
+  f("total_energy_per_cycle_j", r.total_energy_per_cycle_j);
+  f("worst_arrival_s", r.worst_arrival_s);
+  f("total_drc_violations", r.total_drc_violations);
+  f("all_immune", r.all_immune);
+}
+
+template <either<flow::OutputSpec> S, typename F>
+void fields(S& o, F&& f) {
+  f("name", o.name);
+  f("expr", o.expr);
+  f("inverted", o.inverted);
+}
+
+template <either<FlowJob> S, typename F>
+void fields(S& j, F&& f) {
+  f("name", j.name);
+  f("cell", j.cell);
+  f("outputs", j.outputs);
+  f("inputs", j.inputs);
+  f("options", j.options);
+  f("target", j.target);
+}
+
+template <either<JobsFile> S, typename F>
+void fields(S& j, F&& f) {
+  f("jobs", j.jobs);
+}
+
+template <either<SessionHeader> S, typename F>
+void fields(S& h, F&& f) {
+  f("name", h.name);
+  f("stage", h.stage);
+  f("options", h.options);
+  f("library_checksum", h.library_checksum);
+}
+
+template <either<MappedArtifact> S, typename F>
+void fields(S& m, F&& f) {
+  f("netlist", m.map.netlist);
+  f("nand_count", m.map.nand_count);
+  f("nor_count", m.map.nor_count);
+  f("inv_count", m.map.inv_count);
+  f("num_inputs", m.num_inputs);
+  f("verified", m.verified);
+}
+
+template <either<TimedArtifact> S, typename F>
+void fields(S& t, F&& f) {
+  f("timing", t.timing);
+}
+
+template <either<opt::PassStats> S, typename F>
+void fields(S& s, F&& f) {
+  f("gates_resized", s.gates_resized);
+  f("buffers_inserted", s.buffers_inserted);
+  f("gates_removed", s.gates_removed);
+  f("function_verified", s.function_verified);
+  f("delay_before", s.delay_before);
+  f("delay_after", s.delay_after);
+  f("area_before", s.area_before);
+  f("area_after", s.area_after);
+}
+
+template <either<OptimizedArtifact> S, typename F>
+void fields(S& o, F&& f) {
+  f("enabled", o.enabled);
+  f("stats", o.stats);
+  f("timing", o.timing);
+}
+
+template <either<PlacedArtifact> S, typename F>
+void fields(S& p, F&& f) {
+  f("placement", p.placement);
+}
+
+template <either<CellSignOff> S, typename F>
+void fields(S& c, F&& f) {
+  f("cell", c.cell);
+  f("drc_violations", c.drc_violations);
+  f("immune", c.immune);
+  f("immunity_checked", c.immunity_checked);
+}
+
+template <either<SignOffArtifact> S, typename F>
+void fields(S& s, F&& f) {
+  f("cells", s.cells);
+  f("total_drc_violations", s.total_drc_violations);
+  f("all_immune", s.all_immune);
+}
+
+/// The extraction is NOT stored: it is a cheap pure function of the
+/// routing and the design rules, recomputed exactly on resume. The routed
+/// timing travels so resume needs no STA re-run.
+template <either<RoutedArtifact> S, typename F>
+void fields(S& r, F&& f) {
+  f("routing", r.routing);
+  f("routed_timing", r.routed_timing);
+  f("ideal_worst_arrival_s", r.ideal_worst_arrival_s);
+  f("wire_drc_violations", r.wire_drc_violations);
+}
+
+// --- the two walkers ------------------------------------------------------
+
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+template <typename T>
+concept Row = requires(T& value) { row(value, [](auto&) {}); };
+
+template <typename T>
+constexpr bool kIsScalar = std::is_arithmetic_v<T> ||
+                           std::is_same_v<T, std::string>;
+
+/// Value -> JSON. `netlist` is what placed instances' gate pointers index
+/// into (null when the value holds none).
+struct Writer {
+  const flow::GateNetlist* netlist = nullptr;
+
+  template <typename T>
+  json::Value operator()(const T& value) const {
+    if constexpr (std::is_enum_v<T>) {
+      return to_string(value);
+    } else if constexpr (kIsScalar<T>) {
+      return value;
+    } else if constexpr (kIsVector<T>) {
+      json::Value array = json::Value::array();
+      for (const auto& item : value) array.push_back((*this)(item));
+      return array;
+    } else if constexpr (Row<T>) {
+      json::Value array = json::Value::array();
+      row(value, [&](const auto& cell) { array.push_back(cell); });
+      return array;
+    } else {
+      json::Value object = json::Value::object();
+      fields(value, Keyed{*this, object});
+      return object;
     }
   }
-  throw util::Error("unreachable expr kind");
+
+  // The special shapes.
+  json::Value operator()(const logic::Expr& expr) const;
+  json::Value operator()(const liberty::NldmTable& table) const;
+  json::Value operator()(const liberty::Library& library) const;
+  json::Value operator()(const flow::GateNetlist& netlist) const;
+  json::Value operator()(const util::Diagnostics& diagnostics) const {
+    return (*this)(diagnostics.items());
+  }
+  json::Value operator()(const geom::Rect& r) const {
+    return (*this)(Corners{r.lo().x, r.lo().y, r.hi().x, r.hi().y});
+  }
+  json::Value operator()(const liberty::LibCell* cell) const {
+    return cell->name;
+  }
+  json::Value operator()(const flow::Gate* gate) const {
+    const auto index =
+        netlist == nullptr ? -1 : gate - netlist->gates().data();
+    if (index < 0 ||
+        index >= static_cast<std::ptrdiff_t>(netlist->gates().size())) {
+      throw util::Error("placement instance references a foreign netlist");
+    }
+    return static_cast<std::int64_t>(index);
+  }
+
+  /// The field visitor fields() is instantiated with.
+  struct Keyed {
+    const Writer& write;
+    json::Value& object;
+
+    template <typename T>
+    void operator()(const char* key, const T& member) const {
+      object.set(key, write(member));
+    }
+    template <typename T>
+    void operator()(const char* key, const std::optional<T>& member) const {
+      if (member) object.set(key, write(*member));
+    }
+    void operator()(const char* key, std::uint64_t member, AsDecimal) const {
+      object.set(key, std::to_string(member));
+    }
+  };
+};
+
+/// JSON -> value, throwing util::Error on a malformed shape. Gate cells
+/// resolve by name against `library`, placed instances by index into
+/// `netlist`.
+struct Reader {
+  const liberty::Library* library = nullptr;
+  const flow::GateNetlist* netlist = nullptr;
+
+  template <typename T>
+  void operator()(const json::Value& v, T& out) const {
+    if constexpr (std::is_enum_v<T>) {
+      parse(v.as_string(), out);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      out = v.as_bool();
+    } else if constexpr (std::is_same_v<T, int>) {
+      out = v.as_int();
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+      out = v.as_int64();
+    } else if constexpr (std::is_same_v<T, std::size_t>) {
+      out = static_cast<std::size_t>(v.as_int64());
+    } else if constexpr (std::is_same_v<T, double>) {
+      out = v.as_double();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out = v.as_string();
+    } else if constexpr (kIsVector<T>) {
+      out.clear();
+      out.reserve(v.size());
+      for (const auto& item : v.items()) (*this)(item, out.emplace_back());
+    } else if constexpr (Row<T>) {
+      std::size_t i = 0;
+      row(out, [&](auto& cell) { (*this)(v.at(i++), cell); });
+    } else {
+      fields(out, Keyed{*this, v});
+    }
+  }
+
+  template <typename T>
+  [[nodiscard]] T read(const json::Value& v) const {
+    T out;
+    (*this)(v, out);
+    return out;
+  }
+
+  // The special shapes.
+  void operator()(const json::Value& v, logic::Expr& out) const;
+  void operator()(const json::Value& v, liberty::NldmTable& out) const;
+  void operator()(const json::Value& v, liberty::Library& out) const;
+  void operator()(const json::Value& v, flow::GateNetlist& out) const;
+  void operator()(const json::Value& v, route::RoutingResult& out) const;
+  void operator()(const json::Value& v, util::Diagnostics& out) const {
+    out = util::Diagnostics();
+    for (auto& d : read<std::vector<util::Diagnostic>>(v)) {
+      out.add(std::move(d));
+    }
+  }
+  void operator()(const json::Value& v, geom::Rect& out) const {
+    const auto c = read<Corners>(v);
+    out = geom::Rect({c.lo_x, c.lo_y}, {c.hi_x, c.hi_y});
+  }
+  void operator()(const json::Value& v, const liberty::LibCell*& out) const {
+    out = &library->find(v.as_string());
+  }
+  void operator()(const json::Value& v, const flow::Gate*& out) const {
+    if (netlist == nullptr) {
+      throw util::Error("placed artifact without a mapped netlist");
+    }
+    const std::int64_t index = v.as_int64();
+    if (index < 0 ||
+        index >= static_cast<std::int64_t>(netlist->gates().size())) {
+      throw util::Error("placement gate index " + std::to_string(index) +
+                        " out of range");
+    }
+    out = &netlist->gates()[static_cast<std::size_t>(index)];
+  }
+
+  /// The field visitor fields() is instantiated with.
+  struct Keyed {
+    const Reader& read;
+    const json::Value& object;
+
+    template <typename T>
+    void operator()(const char* key, T& member) const {
+      read(object.at(key), member);
+    }
+    template <typename T>
+    void operator()(const char* key, std::optional<T>& member) const {
+      if (const json::Value* v = object.find(key)) read(*v, member.emplace());
+    }
+    void operator()(const char* key, std::uint64_t& member, AsDecimal) const {
+      // Digits only: from_chars refuses the sign and the leading space
+      // std::stoull would accept, so every accepted seed round-trips.
+      const std::string& text = object.at(key).as_string();
+      const char* end = text.data() + text.size();
+      const auto [stop, error] = std::from_chars(text.data(), end, member);
+      if (error != std::errc() || stop != end) {
+        throw util::Error("gen options: " + std::string(key) +
+                          " is not a uint64: \"" + text + "\"");
+      }
+    }
+  };
+};
+
+// --- the special shapes -----------------------------------------------------
+
+// logic::Expr is structural: Expr::to_string() names variables A.. by
+// index while parse_expr numbers them by first appearance, so text would
+// not round-trip expressions whose variables appear out of index order.
+json::Value Writer::operator()(const logic::Expr& expr) const {
+  json::Value v = json::Value::object();
+  switch (expr.kind()) {
+    case logic::Expr::Kind::kVar:
+      v.set("var", expr.var_index());
+      break;
+    case logic::Expr::Kind::kAnd:
+    case logic::Expr::Kind::kOr:
+      v.set(expr.kind() == logic::Expr::Kind::kAnd ? "and" : "or",
+            (*this)(expr.children()));
+      break;
+    case logic::Expr::Kind::kNot:
+      v.set("not", (*this)(expr.children().front()));
+      break;
+  }
+  return v;
 }
 
 logic::Expr expr_from_json(const json::Value& v) {
@@ -173,80 +704,15 @@ logic::Expr expr_from_json(const json::Value& v) {
                 : logic::Expr::make_or(std::move(terms));
 }
 
-json::Value output_spec_to_json(const flow::OutputSpec& spec) {
+void Reader::operator()(const json::Value& v, logic::Expr& out) const {
+  out = expr_from_json(v);
+}
+
+// An NLDM table is its two axes plus the values flattened slew-major.
+json::Value Writer::operator()(const liberty::NldmTable& table) const {
   json::Value v = json::Value::object();
-  v.set("name", spec.name);
-  v.set("expr", expr_to_json(spec.expr));
-  v.set("inverted", spec.inverted);
-  return v;
-}
-
-flow::OutputSpec output_spec_from_json(const json::Value& v) {
-  flow::OutputSpec spec;
-  spec.name = v.get_string("name");
-  spec.expr = expr_from_json(v.at("expr"));
-  spec.inverted = v.get_bool("inverted");
-  return spec;
-}
-
-// --- engine option structs ------------------------------------------------
-
-json::Value design_rules_to_json(const layout::DesignRules& r) {
-  json::Value v = json::Value::object();
-  v.set("gate_len", r.gate_len);
-  v.set("contact_len", r.contact_len);
-  v.set("gate_contact_space", r.gate_contact_space);
-  v.set("gate_gate_space", r.gate_gate_space);
-  v.set("etch_len", r.etch_len);
-  v.set("contact_contact_space", r.contact_contact_space);
-  v.set("via_size", r.via_size);
-  v.set("gate_overhang", r.gate_overhang);
-  v.set("cnt_margin", r.cnt_margin);
-  v.set("pin_width", r.pin_width);
-  v.set("pun_pdn_gap", r.pun_pdn_gap);
-  v.set("strip_lane", r.strip_lane);
-  v.set("cell_margin", r.cell_margin);
-  v.set("wire_width", r.wire_width);
-  v.set("wire_spacing", r.wire_spacing);
-  v.set("route_pitch", r.route_pitch);
-  v.set("wire_sheet_res", r.wire_sheet_res);
-  v.set("wire_cap_per_lambda", r.wire_cap_per_lambda);
-  v.set("via_res", r.via_res);
-  v.set("tech", layout::to_string(r.tech));
-  return v;
-}
-
-layout::DesignRules design_rules_from_json(const json::Value& v) {
-  layout::DesignRules r;
-  r.gate_len = v.get_double("gate_len");
-  r.contact_len = v.get_double("contact_len");
-  r.gate_contact_space = v.get_double("gate_contact_space");
-  r.gate_gate_space = v.get_double("gate_gate_space");
-  r.etch_len = v.get_double("etch_len");
-  r.contact_contact_space = v.get_double("contact_contact_space");
-  r.via_size = v.get_double("via_size");
-  r.gate_overhang = v.get_double("gate_overhang");
-  r.cnt_margin = v.get_double("cnt_margin");
-  r.pin_width = v.get_double("pin_width");
-  r.pun_pdn_gap = v.get_double("pun_pdn_gap");
-  r.strip_lane = v.get_double("strip_lane");
-  r.cell_margin = v.get_double("cell_margin");
-  r.wire_width = v.get_double("wire_width");
-  r.wire_spacing = v.get_double("wire_spacing");
-  r.route_pitch = v.get_double("route_pitch");
-  r.wire_sheet_res = v.get_double("wire_sheet_res");
-  r.wire_cap_per_lambda = v.get_double("wire_cap_per_lambda");
-  r.via_res = v.get_double("via_res");
-  auto tech = tech_from_string(v.get_string("tech"));
-  if (!tech.ok()) throw util::Error(tech.error().message);
-  r.tech = tech.value();
-  return r;
-}
-
-json::Value nldm_to_json(const liberty::NldmTable& table) {
-  json::Value v = json::Value::object();
-  v.set("slews", doubles_to_json(table.slews()));
-  v.set("loads", doubles_to_json(table.loads()));
+  v.set("slews", (*this)(table.slews()));
+  v.set("loads", (*this)(table.loads()));
   json::Value values = json::Value::array();
   for (std::size_t si = 0; si < table.slews().size(); ++si) {
     for (std::size_t li = 0; li < table.loads().size(); ++li) {
@@ -257,12 +723,12 @@ json::Value nldm_to_json(const liberty::NldmTable& table) {
   return v;
 }
 
-liberty::NldmTable nldm_from_json(const json::Value& v) {
-  liberty::NldmTable table(doubles_from_json(v.at("slews")),
-                           doubles_from_json(v.at("loads")));
+void Reader::operator()(const json::Value& v, liberty::NldmTable& out) const {
+  out = liberty::NldmTable(read<std::vector<double>>(v.at("slews")),
+                           read<std::vector<double>>(v.at("loads")));
   const auto& values = v.at("values");
-  const std::size_t n_slews = table.slews().size();
-  const std::size_t n_loads = table.loads().size();
+  const std::size_t n_slews = out.slews().size();
+  const std::size_t n_loads = out.loads().size();
   if (values.size() != n_slews * n_loads) {
     throw util::Error("NLDM value count " + std::to_string(values.size()) +
                       " does not match the " + std::to_string(n_slews) + "x" +
@@ -271,10 +737,129 @@ liberty::NldmTable nldm_from_json(const json::Value& v) {
   std::size_t j = 0;
   for (std::size_t si = 0; si < n_slews; ++si) {
     for (std::size_t li = 0; li < n_loads; ++li) {
-      table.set(si, li, values.at(j++).as_double());
+      out.set(si, li, values.at(j++).as_double());
     }
   }
-  return table;
+}
+
+// A library is one geometry context (characterization builds every cell
+// under the same options, read back from the first cell) plus its cells.
+json::Value Writer::operator()(const liberty::Library& library) const {
+  if (library.cells().empty()) {
+    throw util::Error("refusing to serialize an empty library");
+  }
+  const auto& first = library.cells().front().built.layout;
+  json::Value v = json::Value::object();
+  v.set("tech", to_string(first.rules().tech));
+  v.set("style", to_string(first.style()));
+  v.set("scheme", to_string(first.scheme()));
+  v.set("cells", (*this)(library.cells()));
+  return v;
+}
+
+void Reader::operator()(const json::Value& v, liberty::Library& out) const {
+  liberty::CharacterizeOptions copts;
+  (*this)(v.at("tech"), copts.layout_tech);
+  (*this)(v.at("style"), copts.style);
+  (*this)(v.at("scheme"), copts.scheme);
+  std::vector<liberty::LibCell> cells;
+  for (auto& c : read<std::vector<StoredCell>>(v.at("cells"))) {
+    cells.push_back({std::move(c.name),
+                     layout::build_cell(
+                         layout::find_cell_spec(c.spec),
+                         liberty::cell_build_options(c.drive, copts)),
+                     c.drive, std::move(c.input_cap), c.area_lambda2,
+                     std::move(c.arcs)});
+  }
+  out = liberty::Library(std::move(cells));
+}
+
+// A gate netlist is its net names, its primary inputs and outputs (net
+// ids) and its gates.
+json::Value Writer::operator()(const flow::GateNetlist& netlist) const {
+  json::Value nets = json::Value::array();
+  for (int n = 0; n < netlist.num_nets(); ++n) {
+    nets.push_back(netlist.net_name(n));
+  }
+  json::Value v = json::Value::object();
+  v.set("nets", std::move(nets));
+  v.set("inputs", (*this)(netlist.inputs()));
+  v.set("outputs", (*this)(netlist.outputs()));
+  v.set("gates", (*this)(netlist.gates()));
+  return v;
+}
+
+void Reader::operator()(const json::Value& v, flow::GateNetlist& out) const {
+  out = flow::GateNetlist();
+  for (const auto& name : read<std::vector<std::string>>(v.at("nets"))) {
+    (void)out.add_net(name);
+  }
+  for (const int net : read<std::vector<int>>(v.at("inputs"))) {
+    out.mark_input(net);
+  }
+  for (const int net : read<std::vector<int>>(v.at("outputs"))) {
+    out.mark_output(net);
+  }
+  for (auto& gate : read<std::vector<flow::Gate>>(v.at("gates"))) {
+    out.add_gate(std::move(gate));
+  }
+}
+
+// Stored routing is untrusted (a served resume carries it inline, with no
+// checksum), and route::extract walks every wire in pitch steps: refuse a
+// zero pitch, skewed wires and geometry off the grid before it gets there.
+void Reader::operator()(const json::Value& v,
+                        route::RoutingResult& out) const {
+  fields(out, Keyed{*this, v});
+  if (out.pitch <= 0) {
+    throw util::Error("routing pitch " + std::to_string(out.pitch) +
+                      " is not positive");
+  }
+  const geom::Rect& grid = out.grid_bbox;
+  const auto on_grid = [&](geom::Vec2 p) {
+    return p.x >= grid.lo().x && p.x <= grid.hi().x && p.y >= grid.lo().y &&
+           p.y <= grid.hi().y;
+  };
+  for (const auto& rn : out.nets) {
+    const auto refuse = [&](const std::string& what) {
+      throw util::Error("routed net " + std::to_string(rn.net) + ": " + what);
+    };
+    for (const auto& w : rn.wires) {
+      if (w.a.x != w.b.x && w.a.y != w.b.y) refuse("wire is not axis-aligned");
+      if (!on_grid(w.a) || !on_grid(w.b)) refuse("wire leaves the grid");
+    }
+    for (const auto& via : rn.vias) {
+      if (!on_grid(via.at)) refuse("via lies off the grid");
+    }
+  }
+}
+
+/// Fingerprint of a characterized library: what a session is bound to.
+std::string library_checksum(const liberty::Library& library) {
+  return json::fnv1a64_hex(json::dump(Writer{}(library)));
+}
+
+// --- whole files ------------------------------------------------------------
+
+template <typename T>
+util::Result<std::string> save(const T& value, const char* kind,
+                               const std::string& path) {
+  try {
+    return write_artifact(Writer{}(value), kind, path);
+  } catch (const std::exception& e) {
+    return util::Result<std::string>::failure("serialize", e.what());
+  }
+}
+
+template <typename T>
+util::Result<T> load(const std::string& path, const char* kind) {
+  auto payload = read_artifact(path, kind);
+  if (!payload.ok()) return payload.error();
+  try {
+    return Reader{}.read<T>(payload.value());
+  } catch (const std::exception& e) {
+    return util::Result<T>::failure("serialize", path + ": " + e.what());
+  }
 }
 
 }  // namespace
@@ -291,610 +876,88 @@ util::Result<layout::Tech> tech_from_string(const std::string& name) {
                   "\" (expected CNFET65 or CMOS65)");
 }
 
-// --- liberty::Library ------------------------------------------------------
+// --- the public value-level converters --------------------------------------
 
 json::Value to_json(const liberty::Library& library) {
-  json::Value v = json::Value::object();
-  // One geometry context for the whole library (characterization builds
-  // every cell under the same options), read back from the first cell.
-  if (library.cells().empty()) {
-    throw util::Error("refusing to serialize an empty library");
-  }
-  const auto& first = library.cells().front().built;
-  v.set("tech", layout::to_string(first.layout.rules().tech));
-  v.set("style", layout::to_string(first.layout.style()));
-  v.set("scheme", layout::to_string(first.layout.scheme()));
-  json::Value cells = json::Value::array();
-  for (const auto& cell : library.cells()) {
-    json::Value c = json::Value::object();
-    c.set("name", cell.name);
-    c.set("spec", cell.built.spec.name);
-    c.set("drive", cell.drive);
-    c.set("area_lambda2", cell.area_lambda2);
-    c.set("input_cap", doubles_to_json(cell.input_cap));
-    json::Value arcs = json::Value::array();
-    for (const auto& arc : cell.arcs) {
-      json::Value a = json::Value::object();
-      a.set("input", arc.input);
-      a.set("out_rising", arc.out_rising);
-      a.set("delay", nldm_to_json(arc.delay));
-      a.set("out_slew", nldm_to_json(arc.out_slew));
-      a.set("energy", nldm_to_json(arc.energy));
-      arcs.push_back(std::move(a));
-    }
-    c.set("arcs", std::move(arcs));
-    cells.push_back(std::move(c));
-  }
-  v.set("cells", std::move(cells));
-  return v;
+  return Writer{}(library);
 }
-
 liberty::Library library_from_json(const json::Value& v) {
-  liberty::CharacterizeOptions copts;
-  auto tech = tech_from_string(v.get_string("tech"));
-  if (!tech.ok()) throw util::Error(tech.error().message);
-  copts.layout_tech = tech.value();
-  copts.style = style_from_string(v.get_string("style"));
-  copts.scheme = scheme_from_string(v.get_string("scheme"));
-  liberty::Library library;
-  for (const auto& c : v.at("cells").items()) {
-    const auto& spec = layout::find_cell_spec(c.get_string("spec"));
-    const double drive = c.get_double("drive");
-    liberty::LibCell cell{
-        c.get_string("name"),
-        layout::build_cell(spec, liberty::cell_build_options(drive, copts)),
-        drive,
-        doubles_from_json(c.at("input_cap")),
-        c.get_double("area_lambda2"),
-        {}};
-    for (const auto& a : c.at("arcs").items()) {
-      liberty::TimingArc arc;
-      arc.input = a.get_int("input");
-      arc.out_rising = a.get_bool("out_rising");
-      arc.delay = nldm_from_json(a.at("delay"));
-      arc.out_slew = nldm_from_json(a.at("out_slew"));
-      arc.energy = nldm_from_json(a.at("energy"));
-      cell.arcs.push_back(std::move(arc));
-    }
-    library.add(std::move(cell));
-  }
-  return library;
+  return Reader{}.read<liberty::Library>(v);
 }
-
-// --- gen::GenOptions --------------------------------------------------------
 
 json::Value to_json(const gen::GenOptions& options) {
-  json::Value v = json::Value::object();
-  v.set("family", gen::to_string(options.family));
-  v.set("width", options.width);
-  v.set("target_gates", options.target_gates);
-  v.set("num_inputs", options.num_inputs);
-  // Decimal string: the seed is a full uint64, JSON integers are signed.
-  v.set("seed", std::to_string(options.seed));
-  v.set("drive", options.drive);
-  return v;
+  return Writer{}(options);
 }
-
 gen::GenOptions gen_options_from_json(const json::Value& v) {
-  gen::GenOptions options;
-  auto family = gen::family_from_string(v.get_string("family"));
-  if (!family.ok()) throw util::Error(family.error().message);
-  options.family = family.value();
-  options.width = v.get_int("width");
-  options.target_gates = v.get_int("target_gates");
-  options.num_inputs = v.get_int("num_inputs");
-  const auto seed = v.get_string("seed");
-  try {
-    std::size_t used = 0;
-    options.seed = std::stoull(seed, &used);
-    if (used != seed.size()) throw std::invalid_argument(seed);
-  } catch (const std::exception&) {
-    throw util::Error("gen options: seed is not a uint64: \"" + seed + "\"");
-  }
-  options.drive = v.get_double("drive");
-  return options;
+  return Reader{}.read<gen::GenOptions>(v);
 }
-
-// --- flow::GateNetlist ------------------------------------------------------
 
 json::Value to_json(const flow::GateNetlist& netlist) {
-  json::Value v = json::Value::object();
-  json::Value nets = json::Value::array();
-  for (int n = 0; n < netlist.num_nets(); ++n) {
-    nets.push_back(netlist.net_name(n));
-  }
-  v.set("nets", std::move(nets));
-  v.set("inputs", ints_to_json(netlist.inputs()));
-  v.set("outputs", ints_to_json(netlist.outputs()));
-  json::Value gates = json::Value::array();
-  for (const auto& gate : netlist.gates()) {
-    json::Value g = json::Value::object();
-    g.set("cell", gate.cell->name);
-    g.set("name", gate.name);
-    g.set("inputs", ints_to_json(gate.inputs));
-    g.set("output", gate.output);
-    gates.push_back(std::move(g));
-  }
-  v.set("gates", std::move(gates));
-  return v;
+  return Writer{}(netlist);
 }
-
 flow::GateNetlist gate_netlist_from_json(const json::Value& v,
                                          const liberty::Library& library) {
-  flow::GateNetlist netlist;
-  for (const auto& name : v.at("nets").items()) {
-    (void)netlist.add_net(name.as_string());
-  }
-  for (const int net : ints_from_json(v.at("inputs"))) {
-    netlist.mark_input(net);
-  }
-  for (const int net : ints_from_json(v.at("outputs"))) {
-    netlist.mark_output(net);
-  }
-  for (const auto& g : v.at("gates").items()) {
-    flow::Gate gate;
-    gate.cell = &library.find(g.get_string("cell"));
-    gate.name = g.get_string("name");
-    gate.inputs = ints_from_json(g.at("inputs"));
-    gate.output = g.get_int("output");
-    netlist.add_gate(std::move(gate));
-  }
-  return netlist;
+  return Reader{&library}.read<flow::GateNetlist>(v);
 }
-
-// --- flow::PlacementResult --------------------------------------------------
 
 json::Value to_json(const flow::PlacementResult& placement,
                     const flow::GateNetlist& netlist) {
-  json::Value v = json::Value::object();
-  v.set("scheme", layout::to_string(placement.scheme));
-  json::Value instances = json::Value::array();
-  const flow::Gate* base = netlist.gates().data();
-  for (const auto& inst : placement.instances) {
-    const auto index = inst.gate - base;
-    if (index < 0 ||
-        index >= static_cast<std::ptrdiff_t>(netlist.gates().size())) {
-      throw util::Error("placement instance references a foreign netlist");
-    }
-    json::Value i = json::Value::object();
-    i.set("gate", static_cast<std::int64_t>(index));
-    i.set("x", inst.origin.x);
-    i.set("y", inst.origin.y);
-    i.set("width", inst.width);
-    i.set("height", inst.height);
-    instances.push_back(std::move(i));
-  }
-  v.set("instances", std::move(instances));
-  json::Value bbox = json::Value::object();
-  bbox.set("lo_x", placement.bbox.lo().x);
-  bbox.set("lo_y", placement.bbox.lo().y);
-  bbox.set("hi_x", placement.bbox.hi().x);
-  bbox.set("hi_y", placement.bbox.hi().y);
-  v.set("bbox", std::move(bbox));
-  v.set("natural_area_lambda2", placement.natural_area_lambda2);
-  v.set("placed_area_lambda2", placement.placed_area_lambda2);
-  v.set("hpwl_lambda", placement.hpwl_lambda);
-  return v;
+  return Writer{&netlist}(placement);
 }
-
 flow::PlacementResult placement_from_json(const json::Value& v,
                                           const flow::GateNetlist& netlist) {
-  flow::PlacementResult placement;
-  placement.scheme = scheme_from_string(v.get_string("scheme"));
-  for (const auto& i : v.at("instances").items()) {
-    const std::int64_t index = i.get_int64("gate");
-    if (index < 0 ||
-        index >= static_cast<std::int64_t>(netlist.gates().size())) {
-      throw util::Error("placement gate index " + std::to_string(index) +
-                        " out of range");
-    }
-    flow::PlacedInstance inst;
-    inst.gate = &netlist.gates()[static_cast<std::size_t>(index)];
-    inst.origin = {i.get_int64("x"), i.get_int64("y")};
-    inst.width = i.get_int64("width");
-    inst.height = i.get_int64("height");
-    placement.instances.push_back(inst);
-  }
-  const auto& bbox = v.at("bbox");
-  placement.bbox = geom::Rect({bbox.get_int64("lo_x"), bbox.get_int64("lo_y")},
-                              {bbox.get_int64("hi_x"), bbox.get_int64("hi_y")});
-  placement.natural_area_lambda2 = v.get_double("natural_area_lambda2");
-  placement.placed_area_lambda2 = v.get_double("placed_area_lambda2");
-  placement.hpwl_lambda = v.get_double("hpwl_lambda");
-  return placement;
+  return Reader{nullptr, &netlist}.read<flow::PlacementResult>(v);
 }
-
-// --- route::RoutingResult ---------------------------------------------------
-// Wires and vias are flat int64 rows ([layer, ax, ay, bx, by, width] /
-// [x, y, size]) rather than keyed objects: a 10k-gate design carries tens
-// of thousands of segments, and repeating keys would dominate the file.
 
 json::Value to_json(const route::RoutingResult& routing) {
-  json::Value v = json::Value::object();
-  json::Value nets = json::Value::array();
-  for (const auto& rn : routing.nets) {
-    json::Value n = json::Value::object();
-    n.set("net", rn.net);
-    json::Value terminals = json::Value::array();
-    for (const auto& t : rn.terminals) {
-      json::Value row = json::Value::array();
-      row.push_back(json::Value(t.x));
-      row.push_back(json::Value(t.y));
-      terminals.push_back(std::move(row));
-    }
-    n.set("terminals", std::move(terminals));
-    json::Value wires = json::Value::array();
-    for (const auto& w : rn.wires) {
-      json::Value row = json::Value::array();
-      row.push_back(json::Value(static_cast<std::int64_t>(w.layer)));
-      row.push_back(json::Value(w.a.x));
-      row.push_back(json::Value(w.a.y));
-      row.push_back(json::Value(w.b.x));
-      row.push_back(json::Value(w.b.y));
-      row.push_back(json::Value(w.width));
-      wires.push_back(std::move(row));
-    }
-    n.set("wires", std::move(wires));
-    json::Value vias = json::Value::array();
-    for (const auto& via : rn.vias) {
-      json::Value row = json::Value::array();
-      row.push_back(json::Value(via.at.x));
-      row.push_back(json::Value(via.at.y));
-      row.push_back(json::Value(via.size));
-      vias.push_back(std::move(row));
-    }
-    n.set("vias", std::move(vias));
-    n.set("length_lambda", rn.length_lambda);
-    nets.push_back(std::move(n));
-  }
-  v.set("nets", std::move(nets));
-  v.set("pitch", routing.pitch);
-  json::Value bbox = json::Value::object();
-  bbox.set("lo_x", routing.grid_bbox.lo().x);
-  bbox.set("lo_y", routing.grid_bbox.lo().y);
-  bbox.set("hi_x", routing.grid_bbox.hi().x);
-  bbox.set("hi_y", routing.grid_bbox.hi().y);
-  v.set("grid_bbox", std::move(bbox));
-  v.set("total_wirelength_lambda", routing.total_wirelength_lambda);
-  v.set("failed_nets", routing.failed_nets);
-  return v;
+  return Writer{}(routing);
 }
-
 route::RoutingResult routing_result_from_json(const json::Value& v) {
-  route::RoutingResult routing;
-  for (const auto& n : v.at("nets").items()) {
-    route::RoutedNet rn;
-    rn.net = n.get_int("net");
-    for (const auto& row : n.at("terminals").items()) {
-      rn.terminals.push_back({row.at(0).as_int64(), row.at(1).as_int64()});
-    }
-    for (const auto& row : n.at("wires").items()) {
-      route::Wire w;
-      w.layer = row.at(0).as_int();
-      w.a = {row.at(1).as_int64(), row.at(2).as_int64()};
-      w.b = {row.at(3).as_int64(), row.at(4).as_int64()};
-      w.width = row.at(5).as_int64();
-      rn.wires.push_back(w);
-    }
-    for (const auto& row : n.at("vias").items()) {
-      route::Via via;
-      via.at = {row.at(0).as_int64(), row.at(1).as_int64()};
-      via.size = row.at(2).as_int64();
-      rn.vias.push_back(via);
-    }
-    rn.length_lambda = n.get_double("length_lambda");
-    routing.nets.push_back(std::move(rn));
-  }
-  routing.pitch = v.get_int64("pitch");
-  const auto& bbox = v.at("grid_bbox");
-  routing.grid_bbox =
-      geom::Rect({bbox.get_int64("lo_x"), bbox.get_int64("lo_y")},
-                 {bbox.get_int64("hi_x"), bbox.get_int64("hi_y")});
-  routing.total_wirelength_lambda = v.get_double("total_wirelength_lambda");
-  routing.failed_nets = v.get_int("failed_nets");
-  return routing;
+  return Reader{}.read<route::RoutingResult>(v);
 }
 
-// --- FlowOptions ------------------------------------------------------------
-
-json::Value to_json(const FlowOptions& options) {
-  json::Value v = json::Value::object();
-  // options.library is deliberately not serialized: the handle is resolved
-  // from LibraryCache::global() on resume, and characterization is
-  // deterministic, so the reconstruction is exact.
-  v.set("tech", layout::to_string(options.tech));
-  v.set("drive", options.drive);
-  v.set("output_drive", options.output_drive);
-  v.set("verify", options.verify);
-  v.set("map_cost", map_cost_to_string(options.map_cost));
-  v.set("optimize", options.optimize);
-  v.set("target_delay", options.target_delay);
-  v.set("max_area_growth", options.max_area_growth);
-  json::Value sta = json::Value::object();
-  sta.set("input_slew", options.sta.input_slew);
-  sta.set("wire_cap_per_fanout", options.sta.wire_cap_per_fanout);
-  sta.set("output_load", options.sta.output_load);
-  v.set("sta", std::move(sta));
-  json::Value place = json::Value::object();
-  place.set("scheme", layout::to_string(options.place.scheme));
-  place.set("aspect_rows", options.place.aspect_rows);
-  place.set("cell_spacing_lambda", options.place.cell_spacing_lambda);
-  place.set("row_spacing_lambda", options.place.row_spacing_lambda);
-  v.set("place", std::move(place));
-  json::Value drc = json::Value::object();
-  drc.set("allow_vertical_gating", options.drc.allow_vertical_gating);
-  if (options.drc.deck.has_value()) {
-    drc.set("deck", design_rules_to_json(*options.drc.deck));
-  }
-  v.set("drc", std::move(drc));
-  v.set("route", options.route);
-  json::Value route = json::Value::object();
-  route.set("window_halo_cells", options.route_opts.window_halo_cells);
-  v.set("route_opts", std::move(route));
-  v.set("top_name", options.top_name);
-  return v;
-}
-
+json::Value to_json(const FlowOptions& options) { return Writer{}(options); }
 FlowOptions flow_options_from_json(const json::Value& v) {
-  FlowOptions options;
-  auto tech = tech_from_string(v.get_string("tech"));
-  if (!tech.ok()) throw util::Error(tech.error().message);
-  options.tech = tech.value();
-  options.drive = v.get_double("drive");
-  options.output_drive = v.get_double("output_drive");
-  options.verify = v.get_bool("verify");
-  options.map_cost = map_cost_from_string(v.get_string("map_cost"));
-  options.optimize = v.get_bool("optimize");
-  options.target_delay = v.get_double("target_delay");
-  options.max_area_growth = v.get_double("max_area_growth");
-  const auto& sta = v.at("sta");
-  options.sta.input_slew = sta.get_double("input_slew");
-  options.sta.wire_cap_per_fanout = sta.get_double("wire_cap_per_fanout");
-  options.sta.output_load = sta.get_double("output_load");
-  const auto& place = v.at("place");
-  options.place.scheme = scheme_from_string(place.get_string("scheme"));
-  options.place.aspect_rows = place.get_double("aspect_rows");
-  options.place.cell_spacing_lambda = place.get_double("cell_spacing_lambda");
-  options.place.row_spacing_lambda = place.get_double("row_spacing_lambda");
-  const auto& drc = v.at("drc");
-  options.drc.allow_vertical_gating = drc.get_bool("allow_vertical_gating");
-  if (const auto* deck = drc.find("deck")) {
-    options.drc.deck = design_rules_from_json(*deck);
-  }
-  options.route = v.get_bool("route");
-  options.route_opts.window_halo_cells =
-      v.at("route_opts").get_int("window_halo_cells");
-  options.top_name = v.get_string("top_name");
-  return options;
+  return Reader{}.read<FlowOptions>(v);
 }
 
-// --- FlowMetrics ------------------------------------------------------------
-
-json::Value to_json(const FlowMetrics& m) {
-  json::Value v = json::Value::object();
-  v.set("name", m.name);
-  v.set("tech", layout::to_string(m.tech));
-  v.set("stage", to_string(m.stage));
-  v.set("gates", m.gates);
-  v.set("nand2", m.nand2);
-  v.set("nor2", m.nor2);
-  v.set("inv", m.inv);
-  v.set("verified", m.verified);
-  v.set("worst_arrival_s", m.worst_arrival_s);
-  v.set("energy_per_cycle_j", m.energy_per_cycle_j);
-  v.set("edp_js", m.edp_js);
-  v.set("optimized", m.optimized);
-  v.set("pre_opt_worst_arrival_s", m.pre_opt_worst_arrival_s);
-  v.set("gates_resized", m.gates_resized);
-  v.set("buffers_inserted", m.buffers_inserted);
-  v.set("gates_removed", m.gates_removed);
-  v.set("opt_area_growth", m.opt_area_growth);
-  v.set("placed_area_lambda2", m.placed_area_lambda2);
-  v.set("utilization", m.utilization);
-  v.set("hpwl_lambda", m.hpwl_lambda);
-  v.set("cells_signed_off", m.cells_signed_off);
-  v.set("drc_violations", m.drc_violations);
-  v.set("all_immune", m.all_immune);
-  v.set("routed", m.routed);
-  v.set("total_wirelength", m.total_wirelength);
-  v.set("wire_cap_ff", m.wire_cap_ff);
-  v.set("wire_delay_ps", m.wire_delay_ps);
-  v.set("routed_worst_arrival_s", m.routed_worst_arrival_s);
-  v.set("wire_drc_violations", m.wire_drc_violations);
-  v.set("gds_structures", m.gds_structures);
-  return v;
-}
-
+json::Value to_json(const FlowMetrics& metrics) { return Writer{}(metrics); }
 FlowMetrics flow_metrics_from_json(const json::Value& v) {
-  FlowMetrics m;
-  m.name = v.get_string("name");
-  auto tech = tech_from_string(v.get_string("tech"));
-  if (!tech.ok()) throw util::Error(tech.error().message);
-  m.tech = tech.value();
-  m.stage = stage_from_string_or_throw(v.get_string("stage"));
-  m.gates = v.get_int("gates");
-  m.nand2 = v.get_int("nand2");
-  m.nor2 = v.get_int("nor2");
-  m.inv = v.get_int("inv");
-  m.verified = v.get_bool("verified");
-  m.worst_arrival_s = v.get_double("worst_arrival_s");
-  m.energy_per_cycle_j = v.get_double("energy_per_cycle_j");
-  m.edp_js = v.get_double("edp_js");
-  m.optimized = v.get_bool("optimized");
-  m.pre_opt_worst_arrival_s = v.get_double("pre_opt_worst_arrival_s");
-  m.gates_resized = v.get_int("gates_resized");
-  m.buffers_inserted = v.get_int("buffers_inserted");
-  m.gates_removed = v.get_int("gates_removed");
-  m.opt_area_growth = v.get_double("opt_area_growth");
-  m.placed_area_lambda2 = v.get_double("placed_area_lambda2");
-  m.utilization = v.get_double("utilization");
-  m.hpwl_lambda = v.get_double("hpwl_lambda");
-  m.cells_signed_off = v.get_int("cells_signed_off");
-  m.drc_violations = v.get_int("drc_violations");
-  m.all_immune = v.get_bool("all_immune");
-  m.routed = v.get_bool("routed");
-  m.total_wirelength = v.get_double("total_wirelength");
-  m.wire_cap_ff = v.get_double("wire_cap_ff");
-  m.wire_delay_ps = v.get_double("wire_delay_ps");
-  m.routed_worst_arrival_s = v.get_double("routed_worst_arrival_s");
-  m.wire_drc_violations = v.get_int("wire_drc_violations");
-  m.gds_structures = static_cast<std::size_t>(v.get_int64("gds_structures"));
-  return m;
+  return Reader{}.read<FlowMetrics>(v);
 }
-
-// --- util::Diagnostics ------------------------------------------------------
 
 json::Value to_json(const util::Diagnostics& diagnostics) {
-  json::Value arr = json::Value::array();
-  for (const auto& d : diagnostics.items()) {
-    json::Value v = json::Value::object();
-    v.set("severity", util::to_string(d.severity));
-    v.set("stage", d.stage);
-    v.set("message", d.message);
-    arr.push_back(std::move(v));
-  }
-  return arr;
+  return Writer{}(diagnostics);
 }
-
 util::Diagnostics diagnostics_from_json(const json::Value& v) {
-  util::Diagnostics diags;
-  for (const auto& item : v.items()) {
-    diags.add({severity_from_string(item.get_string("severity")),
-               item.get_string("stage"), item.get_string("message")});
-  }
-  return diags;
+  return Reader{}.read<util::Diagnostics>(v);
 }
 
-// --- sta::StaResult ---------------------------------------------------------
-
-json::Value to_json(const sta::StaResult& result) {
-  json::Value v = json::Value::object();
-  v.set("worst_arrival", result.worst_arrival);
-  v.set("critical_output", result.critical_output);
-  v.set("critical_path", strings_to_json(result.critical_path));
-  v.set("energy_per_cycle", result.energy_per_cycle);
-  v.set("arrival", doubles_to_json(result.arrival));
-  v.set("slew", doubles_to_json(result.slew));
-  return v;
-}
-
+json::Value to_json(const sta::StaResult& result) { return Writer{}(result); }
 sta::StaResult sta_result_from_json(const json::Value& v) {
-  sta::StaResult result;
-  result.worst_arrival = v.get_double("worst_arrival");
-  result.critical_output = v.get_int("critical_output");
-  result.critical_path = strings_from_json(v.at("critical_path"));
-  result.energy_per_cycle = v.get_double("energy_per_cycle");
-  result.arrival = doubles_from_json(v.at("arrival"));
-  result.slew = doubles_from_json(v.at("slew"));
-  return result;
+  return Reader{}.read<sta::StaResult>(v);
 }
-
-// --- cnt::MonteCarloResult --------------------------------------------------
 
 json::Value to_json(const cnt::MonteCarloResult& result) {
-  json::Value v = json::Value::object();
-  v.set("trials", result.trials);
-  v.set("failing_trials", result.failing_trials);
-  v.set("tubes_sampled", result.tubes_sampled);
-  v.set("stray_shorts", result.stray_shorts);
-  v.set("stray_chains", result.stray_chains);
-  v.set("shorts_histogram", int64s_to_json(result.shorts_histogram));
-  v.set("chains_histogram", int64s_to_json(result.chains_histogram));
-  return v;
+  return Writer{}(result);
 }
-
 cnt::MonteCarloResult monte_carlo_result_from_json(const json::Value& v) {
-  cnt::MonteCarloResult result;
-  result.trials = v.get_int("trials");
-  result.failing_trials = v.get_int("failing_trials");
-  result.tubes_sampled = v.get_int64("tubes_sampled");
-  result.stray_shorts = v.get_int64("stray_shorts");
-  result.stray_chains = v.get_int64("stray_chains");
-  result.shorts_histogram = int64s_from_json(v.at("shorts_histogram"));
-  result.chains_histogram = int64s_from_json(v.at("chains_histogram"));
-  return result;
+  return Reader{}.read<cnt::MonteCarloResult>(v);
 }
 
-// --- JobOutcome / FlowReport ------------------------------------------------
-
-json::Value to_json(const JobOutcome& outcome) {
-  json::Value v = json::Value::object();
-  v.set("name", outcome.name);
-  v.set("ok", outcome.ok);
-  v.set("skipped", outcome.skipped);
-  v.set("reached", to_string(outcome.reached));
-  v.set("metrics", to_json(outcome.metrics));
-  v.set("diagnostics", to_json(outcome.diagnostics));
-  return v;
-}
-
+json::Value to_json(const JobOutcome& outcome) { return Writer{}(outcome); }
 JobOutcome job_outcome_from_json(const json::Value& v) {
-  JobOutcome outcome;
-  outcome.name = v.get_string("name");
-  outcome.ok = v.get_bool("ok");
-  outcome.skipped = v.get_bool("skipped");
-  outcome.reached = stage_from_string_or_throw(v.get_string("reached"));
-  outcome.metrics = flow_metrics_from_json(v.at("metrics"));
-  outcome.diagnostics = diagnostics_from_json(v.at("diagnostics"));
-  return outcome;
+  return Reader{}.read<JobOutcome>(v);
 }
 
-json::Value to_json(const FlowReport& report) {
-  json::Value v = json::Value::object();
-  json::Value jobs = json::Value::array();
-  for (const auto& job : report.jobs) jobs.push_back(to_json(job));
-  v.set("jobs", std::move(jobs));
-  v.set("total_gates", report.total_gates);
-  v.set("total_area_lambda2", report.total_area_lambda2);
-  v.set("total_energy_per_cycle_j", report.total_energy_per_cycle_j);
-  v.set("worst_arrival_s", report.worst_arrival_s);
-  v.set("total_drc_violations", report.total_drc_violations);
-  v.set("all_immune", report.all_immune);
-  return v;
-}
-
+json::Value to_json(const FlowReport& report) { return Writer{}(report); }
 FlowReport flow_report_from_json(const json::Value& v) {
-  FlowReport report;
-  for (const auto& job : v.at("jobs").items()) {
-    report.jobs.push_back(job_outcome_from_json(job));
-  }
-  report.total_gates = v.get_int("total_gates");
-  report.total_area_lambda2 = v.get_double("total_area_lambda2");
-  report.total_energy_per_cycle_j = v.get_double("total_energy_per_cycle_j");
-  report.worst_arrival_s = v.get_double("worst_arrival_s");
-  report.total_drc_violations = v.get_int("total_drc_violations");
-  report.all_immune = v.get_bool("all_immune");
-  return report;
+  return Reader{}.read<FlowReport>(v);
 }
 
-// --- FlowJob ----------------------------------------------------------------
-
-json::Value to_json(const FlowJob& job) {
-  json::Value v = json::Value::object();
-  v.set("name", job.name);
-  v.set("cell", job.cell);
-  json::Value outputs = json::Value::array();
-  for (const auto& spec : job.outputs) {
-    outputs.push_back(output_spec_to_json(spec));
-  }
-  v.set("outputs", std::move(outputs));
-  v.set("inputs", strings_to_json(job.inputs));
-  v.set("options", to_json(job.options));
-  v.set("target", to_string(job.target));
-  return v;
-}
-
+json::Value to_json(const FlowJob& job) { return Writer{}(job); }
 FlowJob flow_job_from_json(const json::Value& v) {
-  FlowJob job;
-  job.name = v.get_string("name");
-  job.cell = v.get_string("cell");
-  for (const auto& spec : v.at("outputs").items()) {
-    job.outputs.push_back(output_spec_from_json(spec));
-  }
-  job.inputs = strings_from_json(v.at("inputs"));
-  job.options = flow_options_from_json(v.at("options"));
-  job.target = stage_from_string_or_throw(v.get_string("target"));
-  return job;
+  return Reader{}.read<FlowJob>(v);
 }
 
 // --- the versioned file envelope --------------------------------------------
@@ -970,76 +1033,55 @@ util::Result<util::json::Value> read_artifact(const std::string& path,
 
 util::Result<std::string> save_library(const liberty::Library& library,
                                        const std::string& path) {
-  try {
-    return write_artifact(to_json(library), "library", path);
-  } catch (const std::exception& e) {
-    return util::Result<std::string>::failure("serialize", e.what());
-  }
+  return save(library, "library", path);
 }
 
 util::Result<LibraryHandle> load_library(const std::string& path) {
-  auto payload = read_artifact(path, "library");
-  if (!payload.ok()) return payload.error();
-  try {
-    return LibraryHandle(std::make_shared<const liberty::Library>(
-        library_from_json(payload.value())));
-  } catch (const std::exception& e) {
-    return util::Result<LibraryHandle>::failure("serialize",
-                                                path + ": " + e.what());
-  }
+  auto library = load<liberty::Library>(path, "library");
+  if (!library.ok()) return library.error();
+  return LibraryHandle(
+      std::make_shared<const liberty::Library>(std::move(library).value()));
 }
 
 util::Result<std::string> save_jobs(const std::vector<FlowJob>& jobs,
                                     const std::string& path) {
-  try {
-    json::Value payload = json::Value::object();
-    json::Value arr = json::Value::array();
-    for (const auto& job : jobs) arr.push_back(to_json(job));
-    payload.set("jobs", std::move(arr));
-    return write_artifact(payload, "jobs", path);
-  } catch (const std::exception& e) {
-    return util::Result<std::string>::failure("serialize", e.what());
-  }
+  return save(JobsFile{jobs}, "jobs", path);
 }
 
 util::Result<std::vector<FlowJob>> load_jobs(const std::string& path) {
-  auto payload = read_artifact(path, "jobs");
-  if (!payload.ok()) return payload.error();
-  try {
-    std::vector<FlowJob> jobs;
-    for (const auto& job : payload.value().at("jobs").items()) {
-      jobs.push_back(flow_job_from_json(job));
-    }
-    return jobs;
-  } catch (const std::exception& e) {
-    return util::Result<std::vector<FlowJob>>::failure("serialize",
-                                                       path + ": " + e.what());
-  }
+  auto file = load<JobsFile>(path, "jobs");
+  if (!file.ok()) return file.error();
+  return std::move(file).value().jobs;
 }
 
 util::Result<std::string> save_report(const FlowReport& report,
                                       const std::string& path) {
-  try {
-    return write_artifact(to_json(report), "report", path);
-  } catch (const std::exception& e) {
-    return util::Result<std::string>::failure("serialize", e.what());
-  }
+  return save(report, "report", path);
 }
 
 util::Result<FlowReport> load_report(const std::string& path) {
-  auto payload = read_artifact(path, "report");
-  if (!payload.ok()) return payload.error();
-  try {
-    return flow_report_from_json(payload.value());
-  } catch (const std::exception& e) {
-    return util::Result<FlowReport>::failure("serialize",
-                                             path + ": " + e.what());
-  }
+  return load<FlowReport>(path, "report");
 }
 
 // --- Flow::save / Flow::resume ----------------------------------------------
 // Member functions of api::Flow live here so the session format stays next
 // to the other converters; flow.hpp declares them.
+
+/// The session artifacts in file order, after the SessionHeader. The
+/// Exported artifact is not stored: it is a pure function of the saved
+/// placement and top name, and resume regenerates the identical GDS.
+template <typename S, typename F>
+void Flow::artifact_fields(S& flow, F&& f) {
+  f("spec_outputs", flow.spec_outputs_);
+  f("spec_inputs", flow.spec_inputs_);
+  f("diagnostics", flow.diags_);
+  f("mapped", flow.mapped_);
+  f("timed", flow.timed_);
+  f("optimized", flow.optimized_);
+  f("placed", flow.placed_);
+  f("signoff", flow.signoff_);
+  f("routed", flow.routed_);
+}
 
 util::Result<std::string> Flow::save(const std::string& dir) const {
   auto payload = session_json();
@@ -1056,89 +1098,17 @@ util::Result<std::string> Flow::save(const std::string& dir) const {
 util::Result<util::json::Value> Flow::session_json() const {
   try {
     json::Value payload = json::Value::object();
-    payload.set("name", name_);
-    payload.set("stage", to_string(stage_));
-    payload.set("options", to_json(options_));
-    // Fingerprint of the characterized library the session is bound to.
+    const Writer write{mapped_ ? &mapped_->map.netlist : nullptr};
+    const Writer::Keyed f{write, payload};
+    // The library checksum binds the session to its characterized library:
     // resume() re-resolves through LibraryCache::global() and refuses a
-    // mismatch: a session built against a custom FlowOptions::library
-    // (non-default grid, style, scheme) must not silently rebind its
-    // gates to cells with different NLDM tables.
-    payload.set("library_checksum",
-                json::fnv1a64_hex(json::dump(to_json(*library_))));
-    json::Value outputs = json::Value::array();
-    for (const auto& spec : spec_outputs_) {
-      outputs.push_back(output_spec_to_json(spec));
-    }
-    payload.set("spec_outputs", std::move(outputs));
-    payload.set("spec_inputs", strings_to_json(spec_inputs_));
-    payload.set("diagnostics", to_json(diags_));
-    if (mapped_) {
-      json::Value m = json::Value::object();
-      m.set("netlist", to_json(mapped_->map.netlist));
-      m.set("nand_count", mapped_->map.nand_count);
-      m.set("nor_count", mapped_->map.nor_count);
-      m.set("inv_count", mapped_->map.inv_count);
-      m.set("num_inputs", mapped_->num_inputs);
-      m.set("verified", mapped_->verified);
-      payload.set("mapped", std::move(m));
-    }
-    if (timed_) {
-      json::Value t = json::Value::object();
-      t.set("timing", to_json(timed_->timing));
-      payload.set("timed", std::move(t));
-    }
-    if (optimized_) {
-      json::Value o = json::Value::object();
-      o.set("enabled", optimized_->enabled);
-      json::Value s = json::Value::object();
-      s.set("gates_resized", optimized_->stats.gates_resized);
-      s.set("buffers_inserted", optimized_->stats.buffers_inserted);
-      s.set("gates_removed", optimized_->stats.gates_removed);
-      s.set("function_verified", optimized_->stats.function_verified);
-      s.set("delay_before", optimized_->stats.delay_before);
-      s.set("delay_after", optimized_->stats.delay_after);
-      s.set("area_before", optimized_->stats.area_before);
-      s.set("area_after", optimized_->stats.area_after);
-      o.set("stats", std::move(s));
-      o.set("timing", to_json(optimized_->timing));
-      payload.set("optimized", std::move(o));
-    }
-    if (placed_) {
-      json::Value p = json::Value::object();
-      p.set("placement", to_json(placed_->placement, mapped_->map.netlist));
-      payload.set("placed", std::move(p));
-    }
-    if (signoff_) {
-      json::Value s = json::Value::object();
-      json::Value cells = json::Value::array();
-      for (const auto& cell : signoff_->cells) {
-        json::Value c = json::Value::object();
-        c.set("cell", cell.cell);
-        c.set("drc_violations", cell.drc_violations);
-        c.set("immune", cell.immune);
-        c.set("immunity_checked", cell.immunity_checked);
-        cells.push_back(std::move(c));
-      }
-      s.set("cells", std::move(cells));
-      s.set("total_drc_violations", signoff_->total_drc_violations);
-      s.set("all_immune", signoff_->all_immune);
-      payload.set("signoff", std::move(s));
-    }
-    if (routed_) {
-      // The extraction is NOT stored: it is a cheap pure function of the
-      // routing + design rules, recomputed exactly on resume. The routed
-      // timing travels so resume needs no STA re-run.
-      json::Value r = json::Value::object();
-      r.set("routing", to_json(routed_->routing));
-      r.set("routed_timing", to_json(routed_->routed_timing));
-      r.set("ideal_worst_arrival_s", routed_->ideal_worst_arrival_s);
-      r.set("wire_drc_violations", routed_->wire_drc_violations);
-      payload.set("routed", std::move(r));
-    }
-    // The Exported artifact is not stored: it is a pure function of the
-    // saved placement and top name, and resume() regenerates the identical
-    // GDS stream from them (proven by the round-trip golden test).
+    // mismatch, so a session built against a custom FlowOptions::library
+    // (non-default grid, style, scheme) never silently rebinds its gates
+    // to cells with different NLDM tables.
+    const SessionHeader header{name_, stage_, options_,
+                               library_checksum(*library_)};
+    fields(header, f);
+    artifact_fields(*this, f);
     return payload;
   } catch (const std::exception& e) {
     return util::Result<util::json::Value>::failure("serialize", e.what());
@@ -1155,98 +1125,38 @@ util::Result<Flow> Flow::resume(const std::string& dir) {
 util::Result<Flow> Flow::resume_json(const json::Value& payload,
                                      const std::string& path) {
   try {
-    FlowOptions options = flow_options_from_json(payload.at("options"));
-    auto library = LibraryCache::global().get(options.tech);
+    auto header = Reader{}.read<SessionHeader>(payload);
+    auto library = LibraryCache::global().get(header.options.tech);
     if (!library.ok()) return library.error();
-    const std::string library_checksum =
-        json::fnv1a64_hex(json::dump(to_json(*library.value())));
-    if (library_checksum != payload.get_string("library_checksum")) {
+    const std::string checksum = library_checksum(*library.value());
+    if (checksum != header.library_checksum) {
       return util::Result<Flow>::failure(
           "serialize",
           path + ": the session was saved against a different characterized "
                  "library than LibraryCache::global() provides for " +
-              layout::to_string(options.tech) +
-              " (saved " + payload.get_string("library_checksum") +
-              ", cache " + library_checksum +
+              layout::to_string(header.options.tech) +
+              " (saved " + header.library_checksum + ", cache " + checksum +
               "); sessions built with a custom FlowOptions::library cannot "
               "be resumed from the default cache");
     }
-    options.library = library.value();
-    Flow flow(payload.get_string("name"), std::move(options),
+    header.options.library = library.value();
+    Flow flow(std::move(header.name), std::move(header.options),
               library.value());
-    flow.stage_ = stage_from_string_or_throw(payload.get_string("stage"));
-    for (const auto& spec : payload.at("spec_outputs").items()) {
-      flow.spec_outputs_.push_back(output_spec_from_json(spec));
-    }
-    flow.spec_inputs_ = strings_from_json(payload.at("spec_inputs"));
-    flow.diags_ = diagnostics_from_json(payload.at("diagnostics"));
-    if (const auto* m = payload.find("mapped")) {
-      MappedArtifact mapped;
-      mapped.map.netlist =
-          gate_netlist_from_json(m->at("netlist"), *flow.library_);
-      mapped.map.nand_count = m->get_int("nand_count");
-      mapped.map.nor_count = m->get_int("nor_count");
-      mapped.map.inv_count = m->get_int("inv_count");
-      mapped.num_inputs = m->get_int("num_inputs");
-      mapped.verified = m->get_bool("verified");
-      flow.mapped_ = std::move(mapped);
-    }
-    if (const auto* t = payload.find("timed")) {
-      TimedArtifact timed;
-      timed.timing = sta_result_from_json(t->at("timing"));
-      flow.timed_ = std::move(timed);
-    }
-    if (const auto* o = payload.find("optimized")) {
-      OptimizedArtifact optimized;
-      optimized.enabled = o->get_bool("enabled");
-      const auto& s = o->at("stats");
-      optimized.stats.gates_resized = s.get_int("gates_resized");
-      optimized.stats.buffers_inserted = s.get_int("buffers_inserted");
-      optimized.stats.gates_removed = s.get_int("gates_removed");
-      optimized.stats.function_verified = s.get_bool("function_verified");
-      optimized.stats.delay_before = s.get_double("delay_before");
-      optimized.stats.delay_after = s.get_double("delay_after");
-      optimized.stats.area_before = s.get_double("area_before");
-      optimized.stats.area_after = s.get_double("area_after");
-      optimized.timing = sta_result_from_json(o->at("timing"));
-      flow.optimized_ = std::move(optimized);
-    }
-    if (const auto* p = payload.find("placed")) {
-      if (!flow.mapped_) {
-        throw util::Error("placed artifact without a mapped netlist");
-      }
-      PlacedArtifact placed;
-      placed.placement =
-          placement_from_json(p->at("placement"), flow.mapped_->map.netlist);
-      flow.placed_ = std::move(placed);
-    }
-    if (const auto* s = payload.find("signoff")) {
-      SignOffArtifact signoff;
-      for (const auto& c : s->at("cells").items()) {
-        CellSignOff record;
-        record.cell = c.get_string("cell");
-        record.drc_violations = c.get_int("drc_violations");
-        record.immune = c.get_bool("immune");
-        record.immunity_checked = c.get_bool("immunity_checked");
-        signoff.cells.push_back(std::move(record));
-      }
-      signoff.total_drc_violations = s->get_int("total_drc_violations");
-      signoff.all_immune = s->get_bool("all_immune");
-      flow.signoff_ = std::move(signoff);
-    }
-    if (const auto* r = payload.find("routed")) {
+    flow.stage_ = header.stage;
+    Reader read{flow.library_.get(), nullptr};
+    const Reader::Keyed f{read, payload};
+    artifact_fields(flow, [&](const char* key, auto& member) {
+      f(key, member);
+      // Placement gate indices resolve against the netlist just mapped.
+      if (flow.mapped_) read.netlist = &flow.mapped_->map.netlist;
+    });
+    if (flow.routed_) {
       if (!flow.mapped_) {
         throw util::Error("routed artifact without a mapped netlist");
       }
-      RoutedArtifact routed;
-      routed.routing = routing_result_from_json(r->at("routing"));
-      routed.extraction = route::extract(
-          flow.mapped_->map.netlist, routed.routing,
+      flow.routed_->extraction = route::extract(
+          flow.mapped_->map.netlist, flow.routed_->routing,
           flow.library_->cells().front().built.layout.rules());
-      routed.routed_timing = sta_result_from_json(r->at("routed_timing"));
-      routed.ideal_worst_arrival_s = r->get_double("ideal_worst_arrival_s");
-      routed.wire_drc_violations = r->get_int("wire_drc_violations");
-      flow.routed_ = std::move(routed);
     }
     if (flow.stage_ == Stage::kExported) {
       if (!flow.placed_) {

@@ -15,12 +15,17 @@
 // re-characterization; Flow::resume and the cnfetc CLI surface the error.
 //
 // The to_json/from_json pairs below are the value-level converters the
-// envelope wraps. They follow the library's internal throwing contract
-// (util::Error on a malformed shape); the file-level save_*/load_*
-// functions and Flow::save/resume convert to util::Result at the api::
-// boundary. Round-trips are exact: doubles survive bit-for-bit (see
-// util/json.hpp), object members keep their order, and a reconstructed
-// Flow continues to the identical GDS byte stream.
+// envelope wraps. The format is stated once: serialize.cpp gives each
+// struct one field list (key, member, in file order) that a single
+// writer and a single reader both walk, so every pair here is a one-line
+// call and the two directions cannot drift apart. Changing a list
+// changes the format and needs a kSchemaVersion bump (docs/api_guide.md,
+// "Sessions & the CLI"). The converters follow the library's internal
+// throwing contract (util::Error on a malformed shape); the file-level
+// save_*/load_* functions and Flow::save/resume convert to util::Result
+// at the api:: boundary. Round-trips are exact: doubles survive
+// bit-for-bit (see util/json.hpp), object members keep their order, and
+// a reconstructed Flow continues to the identical GDS byte stream.
 #pragma once
 
 #include <memory>
@@ -73,7 +78,9 @@ inline constexpr int kSchemaVersion = 1;
 
 /// Routed wires and vias, exact to the database unit; the round-trip
 /// reproduces an operator==-equal RoutingResult (and therefore identical
-/// routed GDS bytes).
+/// routed GDS bytes). The reader refuses a non-positive pitch, a wire
+/// that is not axis-aligned and any wire or via outside grid_bbox,
+/// naming the net.
 [[nodiscard]] util::json::Value to_json(const route::RoutingResult& routing);
 [[nodiscard]] route::RoutingResult routing_result_from_json(
     const util::json::Value& v);

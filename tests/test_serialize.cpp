@@ -4,9 +4,11 @@
 // identical GDS bytes and metrics from every checkpoint stage on both
 // technologies, and the LibraryCache disk tier (NLDM-exact loads >=10x
 // faster than serial characterization, corrupt files falling back to
-// characterization with a warning).
+// characterization with a warning), and the wire format itself, pinned by
+// literal dumps and key-skeleton digests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -597,6 +599,274 @@ TEST(Serialize, MonteCarloResultRoundTripsExactly) {
   EXPECT_EQ(back.chains_histogram, result.chains_histogram);
   EXPECT_DOUBLE_EQ(back.yield(), result.yield());
   EXPECT_EQ(json::dump(api::to_json(back), 2), json::dump(v, 2));
+}
+
+TEST(Serialize, GenSeedReaderAcceptsDigitsOnly) {
+  json::Value v = api::to_json(gen::GenOptions{});
+  v.set("seed", "18446744073709551615");
+  EXPECT_EQ(api::gen_options_from_json(v).seed, 18446744073709551615ULL);
+  // The writer emits bare digits, so nothing else may be read back: a
+  // sign or a space would not round-trip, and 2^64 overflows.
+  for (const char* bad : {"-1", " 7", "+3", "7 ", "", "0x10",
+                          "18446744073709551616"}) {
+    v.set("seed", bad);
+    try {
+      (void)api::gen_options_from_json(v);
+      ADD_FAILURE() << "accepted seed \"" << bad << "\"";
+    } catch (const util::Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("gen options: seed is not a uint64: \"") + bad +
+                    "\"");
+    }
+  }
+}
+
+// --- the wire format, pinned ---------------------------------------------
+// Literal dumps of values that do not depend on characterization, and key
+// skeletons of the large artifacts: any change to a key, its order or a
+// value's JSON type fails here before it can reach a saved session.
+
+TEST(WireFormat, FlowOptionsWithADeckDumpsLiterally) {
+  api::FlowOptions options;
+  options.tech = layout::Tech::kCmos65;
+  options.drive = 2.0;
+  options.output_drive = 4.5;
+  options.verify = false;
+  options.map_cost = flow::MapCost::kDelay;
+  options.optimize = true;
+  options.target_delay = 17e-12;
+  options.max_area_growth = 0.375;
+  options.sta.input_slew = 11e-12;
+  options.sta.wire_cap_per_fanout = 0.25e-15;
+  options.sta.output_load = 3e-15;
+  options.place.scheme = layout::CellScheme::kScheme2;
+  options.place.aspect_rows = 1.5;
+  options.place.cell_spacing_lambda = 3.0;
+  options.place.row_spacing_lambda = 5.0;
+  options.drc.allow_vertical_gating = true;
+  options.drc.deck = layout::DesignRules::cmos65();
+  options.route = true;
+  options.route_opts.window_halo_cells = 5;
+  options.top_name = "T";
+  EXPECT_EQ(json::dump(api::to_json(options)),
+            R"({"tech":"CMOS65","drive":2,"output_drive":4.5,"verify":false,)"
+            R"("map_cost":"delay","optimize":true,)"
+            R"("target_delay":1.6999999999999999e-11,"max_area_growth":0.375,)"
+            R"("sta":{"input_slew":1.1000000000000001e-11,)"
+            R"("wire_cap_per_fanout":2.5000000000000002e-16,)"
+            R"("output_load":2.9999999999999998e-15},)"
+            R"("place":{"scheme":"scheme2","aspect_rows":1.5,)"
+            R"("cell_spacing_lambda":3,"row_spacing_lambda":5},)"
+            R"("drc":{"allow_vertical_gating":true,"deck":{"gate_len":2,)"
+            R"("contact_len":3,"gate_contact_space":1,"gate_gate_space":2,)"
+            R"("etch_len":2,"contact_contact_space":2,"via_size":3,)"
+            R"("gate_overhang":2,"cnt_margin":1,"pin_width":6,)"
+            R"("pun_pdn_gap":10,"strip_lane":4,"cell_margin":2,)"
+            R"("wire_width":2,"wire_spacing":2,"route_pitch":4,)"
+            R"("wire_sheet_res":0.14999999999999999,)"
+            R"("wire_cap_per_lambda":6.5000000000000001e-18,"via_res":1.5,)"
+            R"("tech":"CMOS65"}},"route":true,)"
+            R"("route_opts":{"window_halo_cells":5},"top_name":"T"})");
+}
+
+TEST(WireFormat, GenOptionsDumpLiterally) {
+  gen::GenOptions options;
+  options.family = gen::Family::kRandomDag;
+  options.width = 12;
+  options.target_gates = 345;
+  options.num_inputs = 9;
+  options.seed = 18446744073709551615ULL;
+  options.drive = 2.0;
+  EXPECT_EQ(json::dump(api::to_json(options)),
+            R"({"family":"rand","width":12,"target_gates":345,"num_inputs":9,)"
+            R"("seed":"18446744073709551615","drive":2})");
+}
+
+TEST(WireFormat, FlowJobDumpsLiterally) {
+  api::FlowJob job;
+  job.name = "maj";
+  job.inputs = {"A", "B", "C"};
+  job.outputs.push_back(
+      {"f",
+       logic::Expr::make_or(
+           {logic::Expr::make_and({logic::Expr::var(2), logic::Expr::var(0)}),
+            logic::Expr::make_not(logic::Expr::var(1))}),
+       true});
+  job.target = api::Stage::kTimed;
+  EXPECT_EQ(json::dump(api::to_json(job)),
+            R"({"name":"maj","cell":"","outputs":[{"name":"f",)"
+            R"("expr":{"or":[{"and":[{"var":2},{"var":0}]},)"
+            R"({"not":{"var":1}}]},"inverted":true}],"inputs":["A","B","C"],)"
+            R"("options":{"tech":"CNFET65","drive":1,"output_drive":0,)"
+            R"("verify":true,"map_cost":"gate_count","optimize":false,)"
+            R"("target_delay":0,"max_area_growth":0.25,)"
+            R"("sta":{"input_slew":1.9999999999999999e-11,)"
+            R"("wire_cap_per_fanout":9.9999999999999998e-17,)"
+            R"("output_load":2.0000000000000002e-15},)"
+            R"("place":{"scheme":"scheme1","aspect_rows":1,)"
+            R"("cell_spacing_lambda":2,"row_spacing_lambda":4},)"
+            R"("drc":{"allow_vertical_gating":false},"route":false,)"
+            R"("route_opts":{"window_halo_cells":8},"top_name":"TOP"},)"
+            R"("target":"timed"})");
+}
+
+TEST(WireFormat, MonteCarloResultDumpsLiterally) {
+  cnt::MonteCarloResult result;
+  result.trials = 1000;
+  result.failing_trials = 3;
+  result.tubes_sampled = 24000;
+  result.stray_shorts = 5;
+  result.stray_chains = 7;
+  result.shorts_histogram = {997, 2, 1};
+  result.chains_histogram = {993, 0, 7};
+  EXPECT_EQ(json::dump(api::to_json(result)),
+            R"({"trials":1000,"failing_trials":3,"tubes_sampled":24000,)"
+            R"("stray_shorts":5,"stray_chains":7,"shorts_histogram":[997,2,)"
+            R"(1],"chains_histogram":[993,0,7]})");
+}
+
+TEST(WireFormat, DiagnosticsDumpLiterally) {
+  util::Diagnostics diags;
+  diags.info("map", "fine");
+  diags.warning("drc", "narrow\nmultiline");
+  diags.error("sta", "bad \"quote\"");
+  EXPECT_EQ(json::dump(api::to_json(diags)),
+            R"([{"severity":"info","stage":"map","message":"fine"},)"
+            R"({"severity":"warning","stage":"drc",)"
+            R"("message":"narrow\nmultiline"},{"severity":"error",)"
+            R"("stage":"sta","message":"bad \"quote\""}])");
+}
+
+TEST(WireFormat, FlowMetricsWithEveryFieldDumpLiterally) {
+  api::FlowMetrics m;
+  m.name = "rca8";
+  m.tech = layout::Tech::kCmos65;
+  m.stage = api::Stage::kExported;
+  m.gates = 72;
+  m.nand2 = 60;
+  m.nor2 = 4;
+  m.inv = 8;
+  m.verified = true;
+  m.worst_arrival_s = 2.93e-11;
+  m.energy_per_cycle_j = 1.5e-15;
+  m.edp_js = 4.395e-26;
+  m.optimized = true;
+  m.pre_opt_worst_arrival_s = 3.1e-11;
+  m.gates_resized = 6;
+  m.buffers_inserted = 2;
+  m.gates_removed = 1;
+  m.opt_area_growth = 0.125;
+  m.placed_area_lambda2 = 12345.5;
+  m.utilization = 0.8125;
+  m.hpwl_lambda = 678.25;
+  m.cells_signed_off = 5;
+  m.drc_violations = 0;
+  m.all_immune = true;
+  m.routed = true;
+  m.total_wirelength = 910.5;
+  m.wire_cap_ff = 1.75;
+  m.wire_delay_ps = 0.5;
+  m.routed_worst_arrival_s = 2.98e-11;
+  m.wire_drc_violations = 0;
+  m.gds_structures = 7;
+  EXPECT_EQ(json::dump(api::to_json(m)),
+            R"({"name":"rca8","tech":"CMOS65","stage":"exported","gates":72,)"
+            R"("nand2":60,"nor2":4,"inv":8,"verified":true,)"
+            R"("worst_arrival_s":2.9299999999999998e-11,)"
+            R"("energy_per_cycle_j":1.4999999999999999e-15,)"
+            R"("edp_js":4.3950000000000002e-26,"optimized":true,)"
+            R"("pre_opt_worst_arrival_s":3.1000000000000003e-11,)"
+            R"("gates_resized":6,"buffers_inserted":2,"gates_removed":1,)"
+            R"("opt_area_growth":0.125,"placed_area_lambda2":12345.5,)"
+            R"("utilization":0.8125,"hpwl_lambda":678.25,)"
+            R"("cells_signed_off":5,"drc_violations":0,"all_immune":true,)"
+            R"("routed":true,"total_wirelength":910.5,"wire_cap_ff":1.75,)"
+            R"("wire_delay_ps":0.5,)"
+            R"("routed_worst_arrival_s":2.9800000000000003e-11,)"
+            R"("wire_drc_violations":0,"gds_structures":7})");
+}
+
+// The shape of a JSON value with every number, string and array length
+// elided: object keys in order with each value's type; an array lists
+// each distinct element shape once, in first-seen order.
+std::string skeleton(const json::Value& v) {
+  switch (v.kind()) {
+    case json::Value::Kind::kNull:
+      return "null";
+    case json::Value::Kind::kBool:
+      return "bool";
+    case json::Value::Kind::kNumber:
+      return "num";
+    case json::Value::Kind::kString:
+      return "str";
+    case json::Value::Kind::kArray: {
+      std::vector<std::string> shapes;
+      for (const auto& item : v.items()) {
+        std::string shape = skeleton(item);
+        if (std::find(shapes.begin(), shapes.end(), shape) == shapes.end()) {
+          shapes.push_back(std::move(shape));
+        }
+      }
+      std::string out = "[";
+      for (std::size_t i = 0; i < shapes.size(); ++i) {
+        out += (i ? "|" : "") + shapes[i];
+      }
+      return out + "]";
+    }
+    case json::Value::Kind::kObject: {
+      std::string out = "{";
+      for (const auto& [key, member] : v.members()) {
+        out += (out.size() > 1 ? "," : "") + key + ":" + skeleton(member);
+      }
+      return out + "}";
+    }
+  }
+  return "?";
+}
+
+void expect_skeleton(const json::Value& v, const std::string& digest) {
+  const std::string shape = skeleton(v);
+  EXPECT_EQ(json::fnv1a64_hex(shape), digest) << shape;
+}
+
+TEST(WireFormat, RoutedNand3SessionSkeletonIsPinned) {
+  api::FlowOptions options;
+  options.route = true;
+  auto flow = api::Flow::from_cell("NAND3", options).value();
+  ASSERT_TRUE(flow.run().ok());
+  ASSERT_EQ(flow.stage(), api::Stage::kExported);
+  expect_skeleton(flow.session_json().value(), "9e1c03039c0413f9");
+}
+
+TEST(WireFormat, OptimizedGenSessionSkeletonIsPinned) {
+  const auto library = cnfet_library();
+  gen::GenOptions gopt;
+  gopt.family = gen::Family::kRippleCarryAdder;
+  gopt.width = 8;
+  api::FlowOptions options;
+  options.library = library;
+  options.optimize = true;
+  auto design = gen::generate(*library, gopt);
+  auto flow =
+      api::Flow::from_netlist(std::move(design.netlist), options).value();
+  ASSERT_TRUE(flow.run().ok());
+  expect_skeleton(flow.session_json().value(), "d1373b5ec2ec7977");
+}
+
+TEST(WireFormat, TwoJobReportSkeletonIsPinned) {
+  std::vector<api::FlowJob> jobs;
+  for (const char* cell : {"INV", "NAND2"}) {
+    api::FlowJob job;
+    job.name = cell;
+    job.cell = cell;
+    job.target = api::Stage::kTimed;
+    jobs.push_back(std::move(job));
+  }
+  expect_skeleton(api::to_json(api::run_batch(jobs, {})), "15a69bafeb97ec25");
+}
+
+TEST(WireFormat, Cnfet65LibrarySkeletonIsPinned) {
+  expect_skeleton(api::to_json(*cnfet_library()), "36064a0581feb9d9");
 }
 
 TEST(FlowSession, ResumeRefusesMissingAndCorruptSessions) {

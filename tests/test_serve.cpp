@@ -604,6 +604,92 @@ TEST_F(ServeTest, OversizedRequestsAreRefusedBeforeTheEngineAllocates) {
   EXPECT_TRUE(c.ping());
 }
 
+/// `array` with element `index` replaced by `item`.
+json::Value with_item(const json::Value& array, std::size_t index,
+                      json::Value item) {
+  json::Value out = json::Value::array();
+  for (std::size_t i = 0; i < array.size(); ++i) {
+    out.push_back(i == index ? item : array.at(i));
+  }
+  return out;
+}
+
+/// A routed NAND3 session at Exported with its stored routing passed
+/// through `edit`.
+json::Value routed_session_with(
+    const std::function<void(json::Value& routing)>& edit) {
+  api::FlowOptions options;
+  options.route = true;
+  auto flow = api::Flow::from_cell("NAND3", options).value();
+  EXPECT_TRUE(flow.run().ok());
+  json::Value session = flow.session_json().value();
+  json::Value routed = session.at("routed");
+  json::Value routing = routed.at("routing");
+  edit(routing);
+  routed.set("routing", std::move(routing));
+  session.set("routed", std::move(routed));
+  return session;
+}
+
+TEST_F(ServeTest, HostileStoredRoutingIsRefusedNotCrashedOn) {
+  // A zero pitch divided route::extract by zero; a wire stretched by 2^40
+  // DBU had it allocate a node per pitch step until bad_alloc.
+  const json::Value zero_pitch = routed_session_with(
+      [](json::Value& routing) { routing.set("pitch", 0); });
+  int stretched_net = -1;
+  const json::Value stretched =
+      routed_session_with([&](json::Value& routing) {
+        const json::Value& nets = routing.at("nets");
+        for (std::size_t n = 0; n < nets.size(); ++n) {
+          const json::Value& wires = nets.at(n).at("wires");
+          if (wires.size() == 0) continue;
+          const json::Value& wire = wires.at(std::size_t{0});
+          // [layer, ax, ay, bx, by, width]: lengthen along the wire's axis.
+          const std::size_t end =
+              wire.at(std::size_t{2}).as_int64() ==
+                      wire.at(std::size_t{4}).as_int64()
+                  ? 3
+                  : 4;
+          json::Value net = nets.at(n);
+          net.set("wires",
+                  with_item(wires, 0,
+                            with_item(wire, end,
+                                      wire.at(end).as_int64() +
+                                          (std::int64_t{1} << 40))));
+          routing.set("nets", with_item(nets, n, std::move(net)));
+          stretched_net = nets.at(n).get_int("net");
+          return;
+        }
+      });
+  ASSERT_GE(stretched_net, 0);
+
+  const int port = start();
+  auto c = client(port);
+  const std::vector<std::pair<const json::Value*, std::string>> hostile = {
+      {&zero_pitch, "routing pitch 0 is not positive"},
+      {&stretched,
+       "routed net " + std::to_string(stretched_net) + ": wire leaves"},
+  };
+  for (const auto& [session, message] : hostile) {
+    SCOPED_TRACE(message);
+    const auto resumed = api::Flow::resume_json(*session, "<test>");
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_NE(resumed.error().message.find(message), std::string::npos)
+        << resumed.error().message;
+
+    json::Value request = serve::make_request(serve::RequestKind::kResume);
+    request.set("session", *session);
+    const json::Value local = execute_locally(request);
+    EXPECT_FALSE(local.get_bool("ok"));
+    EXPECT_NE(diagnostics_of(local).find(message), std::string::npos)
+        << diagnostics_of(local);
+    auto served = c.call(request);
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(json::dump(served.value()), json::dump(local));
+    EXPECT_TRUE(c.ping());
+  }
+}
+
 TEST_F(ServeTest, OutOfRangeTrialsAndThreadsAreRefusedWithTheirRange) {
   const int port = start();
   auto c = client(port);
