@@ -11,16 +11,15 @@
 // confidence intervals, at a few seconds for the whole table.
 #include <cstdio>
 
-#include "core/design_kit.hpp"
+#include "cnt/analyzer.hpp"
+#include "layout/cells.hpp"
 #include "util/table.hpp"
 
 int main() {
-  using cnfet::core::DesignKit;
   using cnfet::layout::LayoutStyle;
   using namespace cnfet;
 
   std::printf("== E2 / Figure 2: misaligned-CNT immunity ==\n\n");
-  const DesignKit kit;
 
   util::TextTable t({"Cell", "layout", "exact proof", "hard shorts",
                      "MC yield (100k trials)", "stray shorts",
@@ -42,7 +41,8 @@ int main() {
   };
 
   for (const auto& c : cases) {
-    const auto built = kit.cell(c.cell, c.style);
+    const auto built =
+        layout::build_cell(layout::find_cell_spec(c.cell), {.style = c.style});
     const auto exact =
         cnt::check_exact(built.layout, built.netlist, built.function);
     const auto mc =
@@ -59,7 +59,9 @@ int main() {
 
   // The explicit Figure-2(b) tube: a fully doped straight tube crossing the
   // naive NAND2 PUN, shorting VDD to OUT.
-  const auto naive = kit.cell("NAND2", LayoutStyle::kNaiveVulnerable);
+  const auto naive =
+      layout::build_cell(layout::find_cell_spec("NAND2"),
+                         {.style = LayoutStyle::kNaiveVulnerable});
   const auto geo = naive.layout.geometry();
   const auto& band = geo.bands[0];
   const double y = (band.rect.lo().y + band.rect.hi().y) / 2.0;

@@ -29,19 +29,17 @@
 // (util/heap_count.hpp) must be 0; scripts/check_perf.py skips it when
 // the binary was built without CNFET_COUNT_ALLOCS.
 //
-// Results merge into BENCH_perf.json as the "mc" section (same
-// read-modify-write contract as bench_serve/bench_scaling: existing
-// sections are kept; only bench_perf truncates the file).
+// Results merge into BENCH_perf.json as the "mc" section
+// (bench_common.hpp: sections written by other benches are kept).
 //
 //   $ ./bench_mc              # ~a minute; updates ./BENCH_perf.json
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cnt/analyzer.hpp"
 #include "layout/cells.hpp"
 #include "util/heap_count.hpp"
@@ -53,23 +51,8 @@ namespace {
 
 using namespace cnfet;
 namespace json = util::json;
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Full-result bitwise comparison: every tally and every histogram bucket.
-bool results_identical(const cnt::MonteCarloResult& a,
-                       const cnt::MonteCarloResult& b) {
-  return a.trials == b.trials && a.failing_trials == b.failing_trials &&
-         a.tubes_sampled == b.tubes_sampled &&
-         a.stray_shorts == b.stray_shorts &&
-         a.stray_chains == b.stray_chains &&
-         a.shorts_histogram == b.shorts_histogram &&
-         a.chains_histogram == b.chains_histogram;
-}
+using bench::ms_since;
+using bench::results_identical;
 
 bool effects_identical(const std::vector<cnt::StrayEffect>& a,
                        const std::vector<cnt::StrayEffect>& b) {
@@ -372,22 +355,6 @@ int main() {
   const bool invariant = nand3.thread_invariant && aoi22.thread_invariant;
 
   // --- merge the "mc" section into BENCH_perf.json --------------------------
-  const char* path = "BENCH_perf.json";
-  json::Value root = json::Value::object();
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        root = json::parse(text.str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "existing %s is unparseable (%s); rewriting\n",
-                     path, e.what());
-        root = json::Value::object();
-      }
-    }
-  }
   json::Value mc = json::Value::object();
   mc.set("hardware_threads", hardware);
   mc.set("nand3", cell_json(nand3));
@@ -403,16 +370,7 @@ int main() {
          std::max(nand3.allocs_per_trial, aoi22.allocs_per_trial));
   mc.set("indexed_eq_naive", identical);
   mc.set("thread_invariant", invariant);
-  root.set("mc", std::move(mc));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << json::dump(root, 2) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
-  }
-  std::printf("\nmerged \"mc\" into %s\n", path);
+  if (!bench::merge_perf_json(bench::object({{"mc", mc}}))) return 1;
 
   if (!identical || !invariant) {
     std::fprintf(stderr,

@@ -10,17 +10,18 @@
 // api::run_batch job fan-out).
 // Verifies the fast engine stays inside the accuracy-equivalence contract
 // (delays within 1%, per-cycle energies within 2% of the seed engine) and
-// that parallel results are identical to serial, then writes everything
-// to BENCH_perf.json so the perf trajectory is machine-readable
+// that parallel results are identical to serial, then merges its
+// sections into BENCH_perf.json (bench_common.hpp: sections written by
+// other benches are kept) so the perf trajectory is machine-readable
 // (scripts/check_perf.py gates on it).
 //
-//   $ ./bench_perf            # ~15 s; writes ./BENCH_perf.json
+//   $ ./bench_perf            # ~15 s; updates ./BENCH_perf.json
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
 
+#include "bench_common.hpp"
 #include "api/batch.hpp"
 #include "api/serialize.hpp"
 #include "cnt/analyzer.hpp"
@@ -32,25 +33,7 @@
 namespace {
 
 using namespace cnfet;
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Best-of-`reps` wall time of fn, in milliseconds.
-template <typename Fn>
-double best_ms(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const double elapsed = ms_since(start);
-    if (elapsed < best) best = elapsed;
-  }
-  return best;
-}
+using bench::best_ms;
 
 struct Timing {
   double serial_ms = 0.0;
@@ -140,11 +123,9 @@ int main() {
   double char_delay_abs = 0.0;
   bool char_delay_ok = true;
   double char_energy_err = 0.0;
-  bool char_identical = true;
   for (std::size_t c = 0; c < lib_seed.cells().size(); ++c) {
     const auto& cs = lib_seed.cells()[c];
     const auto& cf = lib_fast.cells()[c];
-    const auto& cp = lib_par.cells()[c];
     for (std::size_t a = 0; a < cs.arcs.size(); ++a) {
       const auto& slews = cs.arcs[a].delay.slews();
       const auto& loads = cs.arcs[a].delay.loads();
@@ -167,17 +148,11 @@ int main() {
                             cf.arcs[pair].energy.at(si, li);
           char_energy_err =
               std::max(char_energy_err, std::fabs(ef - es) / std::fabs(es));
-          char_identical = char_identical &&
-                           cf.arcs[a].delay.at(si, li) ==
-                               cp.arcs[a].delay.at(si, li) &&
-                           cf.arcs[a].out_slew.at(si, li) ==
-                               cp.arcs[a].out_slew.at(si, li) &&
-                           cf.arcs[a].energy.at(si, li) ==
-                               cp.arcs[a].energy.at(si, li);
         }
       }
     }
   }
+  const bool char_identical = bench::libraries_identical(lib_fast, lib_par);
   const double char_speedup =
       char_fast_ms > 0.0 ? char_seed_ms / char_fast_ms : 0.0;
   const double char_par_speedup =
@@ -210,34 +185,9 @@ int main() {
     auto loaded = api::load_library(cache_file);
     lib_loaded = loaded.ok() ? loaded.value() : nullptr;
   });
-  bool cache_exact = lib_loaded != nullptr &&
-                     lib_loaded->cells().size() == lib_fast.cells().size();
-  if (cache_exact) {
-    for (std::size_t c = 0; c < lib_fast.cells().size(); ++c) {
-      const auto& cf = lib_fast.cells()[c];
-      const auto& cl = lib_loaded->cells()[c];
-      cache_exact = cache_exact && cf.name == cl.name &&
-                    cf.input_cap == cl.input_cap &&
-                    cf.area_lambda2 == cl.area_lambda2 &&
-                    cf.arcs.size() == cl.arcs.size();
-      if (!cache_exact) break;
-      for (std::size_t a = 0; a < cf.arcs.size(); ++a) {
-        const auto& slews = cf.arcs[a].delay.slews();
-        const auto& loads = cf.arcs[a].delay.loads();
-        for (std::size_t si = 0; si < slews.size(); ++si) {
-          for (std::size_t li = 0; li < loads.size(); ++li) {
-            cache_exact = cache_exact &&
-                          cf.arcs[a].delay.at(si, li) ==
-                              cl.arcs[a].delay.at(si, li) &&
-                          cf.arcs[a].out_slew.at(si, li) ==
-                              cl.arcs[a].out_slew.at(si, li) &&
-                          cf.arcs[a].energy.at(si, li) ==
-                              cl.arcs[a].energy.at(si, li);
-          }
-        }
-      }
-    }
-  }
+  const bool cache_exact =
+      lib_loaded != nullptr &&
+      bench::libraries_identical(lib_fast, *lib_loaded);
   std::remove(cache_file);
   const double cache_speedup =
       cache_load_ms > 0.0 ? char_fast_ms / cache_load_ms : 0.0;
@@ -306,10 +256,7 @@ int main() {
   cnt::MonteCarloResult mc_parallel;
   mc.serial_ms = best_ms(3, [&] { mc_serial = run_mc(1); });
   mc.parallel_ms = best_ms(3, [&] { mc_parallel = run_mc(threads); });
-  mc.identical = mc_serial.failing_trials == mc_parallel.failing_trials &&
-                 mc_serial.tubes_sampled == mc_parallel.tubes_sampled &&
-                 mc_serial.stray_shorts == mc_parallel.stray_shorts &&
-                 mc_serial.stray_chains == mc_parallel.stray_chains;
+  mc.identical = bench::results_identical(mc_serial, mc_parallel);
   print_timing("monte_carlo", mc);
 
   // --- run_batch: the Table-1 family under both technologies -------------
@@ -343,87 +290,58 @@ int main() {
   print_timing("run_batch", batch);
 
   // --- machine-readable trajectory ---------------------------------------
-  const char* path = "BENCH_perf.json";
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::printf("cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"threads\": %d,\n"
-               "  \"transient_single_arc\": {\n"
-               "    \"cell\": \"NAND2\",\n"
-               "    \"seed_ms\": %.4f,\n"
-               "    \"fast_ms\": %.4f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"delay_rel_err\": %.5f,\n"
-               "    \"energy_rel_err\": %.5f,\n"
-               "    \"within_tolerance\": %s\n"
-               "  },\n"
-               "  \"characterization\": {\n"
-               "    \"cells\": %zu,\n"
-               "    \"seed_serial_ms\": %.3f,\n"
-               "    \"fast_serial_ms\": %.3f,\n"
-               "    \"serial_speedup\": %.3f,\n"
-               "    \"fast_parallel_ms\": %.3f,\n"
-               "    \"parallel_speedup\": %.3f,\n"
-               "    \"delay_rel_err\": %.5f,\n"
-               "    \"delay_abs_err_ps\": %.5f,\n"
-               "    \"delay_within_bounds\": %s,\n"
-               "    \"energy_rel_err\": %.5f,\n"
-               "    \"parallel_identical\": %s\n"
-               "  },\n"
-               "  \"library_cache\": {\n"
-               "    \"characterize_serial_ms\": %.3f,\n"
-               "    \"disk_load_ms\": %.4f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"tables_exact\": %s\n"
-               "  },\n"
-               "  \"timing_graph\": {\n"
-               "    \"circuit\": \"full_adder_9nand_buffered\",\n"
-               "    \"gates\": %zu,\n"
-               "    \"full_rebuild_us\": %.4f,\n"
-               "    \"incremental_edit_us\": %.4f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"identical\": %s\n"
-               "  },\n"
-               "  \"monte_carlo\": {\n"
-               "    \"cell\": \"NAND3\",\n"
-               "    \"trials\": %d,\n"
-               "    \"serial_ms\": %.3f,\n"
-               "    \"parallel_ms\": %.3f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"trials_per_sec_serial\": %.1f,\n"
-               "    \"trials_per_sec_parallel\": %.1f,\n"
-               "    \"identical\": %s\n"
-               "  },\n"
-               "  \"run_batch\": {\n"
-               "    \"jobs\": %zu,\n"
-               "    \"serial_ms\": %.3f,\n"
-               "    \"parallel_ms\": %.3f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"identical\": %s\n"
-               "  }\n"
-               "}\n",
-               threads, tran_seed_ms, tran_fast_ms, tran_speedup,
-               tran_delay_err, tran_energy_err, tran_ok ? "true" : "false",
-               lib_seed.cells().size(), char_seed_ms, char_fast_ms,
-               char_speedup, char_par_ms, char_par_speedup, char_delay_err,
-               char_delay_abs * 1e12, char_delay_ok ? "true" : "false",
-               char_energy_err, char_identical ? "true" : "false",
-               char_fast_ms, cache_load_ms, cache_speedup,
-               cache_exact ? "true" : "false",
-               adder.gates().size(), tg_full_ms * 1e3, tg_incr_ms * 1e3,
-               tg_speedup, tg_identical ? "true" : "false", kTrials,
-               mc.serial_ms, mc.parallel_ms, mc.speedup(),
-               1000.0 * kTrials / mc.serial_ms,
-               1000.0 * kTrials / mc.parallel_ms,
-               mc.identical ? "true" : "false", jobs.size(), batch.serial_ms,
-               batch.parallel_ms, batch.speedup(),
-               batch.identical ? "true" : "false");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", path);
+  using bench::object;
+  const bool merged = bench::merge_perf_json(object({
+      {"threads", threads},
+      {"transient_single_arc",
+       object({{"cell", "NAND2"},
+               {"seed_ms", tran_seed_ms},
+               {"fast_ms", tran_fast_ms},
+               {"speedup", tran_speedup},
+               {"delay_rel_err", tran_delay_err},
+               {"energy_rel_err", tran_energy_err},
+               {"within_tolerance", tran_ok}})},
+      {"characterization",
+       object({{"cells", lib_seed.cells().size()},
+               {"seed_serial_ms", char_seed_ms},
+               {"fast_serial_ms", char_fast_ms},
+               {"serial_speedup", char_speedup},
+               {"fast_parallel_ms", char_par_ms},
+               {"parallel_speedup", char_par_speedup},
+               {"delay_rel_err", char_delay_err},
+               {"delay_abs_err_ps", char_delay_abs * 1e12},
+               {"delay_within_bounds", char_delay_ok},
+               {"energy_rel_err", char_energy_err},
+               {"parallel_identical", char_identical}})},
+      {"library_cache",
+       object({{"characterize_serial_ms", char_fast_ms},
+               {"disk_load_ms", cache_load_ms},
+               {"speedup", cache_speedup},
+               {"tables_exact", cache_exact}})},
+      {"timing_graph",
+       object({{"circuit", "full_adder_9nand_buffered"},
+               {"gates", adder.gates().size()},
+               {"full_rebuild_us", tg_full_ms * 1e3},
+               {"incremental_edit_us", tg_incr_ms * 1e3},
+               {"speedup", tg_speedup},
+               {"identical", tg_identical}})},
+      {"monte_carlo",
+       object({{"cell", "NAND3"},
+               {"trials", kTrials},
+               {"serial_ms", mc.serial_ms},
+               {"parallel_ms", mc.parallel_ms},
+               {"speedup", mc.speedup()},
+               {"trials_per_sec_serial", 1000.0 * kTrials / mc.serial_ms},
+               {"trials_per_sec_parallel", 1000.0 * kTrials / mc.parallel_ms},
+               {"identical", mc.identical}})},
+      {"run_batch",
+       object({{"jobs", jobs.size()},
+               {"serial_ms", batch.serial_ms},
+               {"parallel_ms", batch.parallel_ms},
+               {"speedup", batch.speedup()},
+               {"identical", batch.identical}})},
+  }));
+  if (!merged) return 1;
 
   // Equivalence and accuracy are hard requirements; speedup depends on the
   // host's cores (scripts/check_perf.py gates the speedups separately).

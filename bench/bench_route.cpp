@@ -20,19 +20,17 @@
 // e2e flow reaching Exported clean, the deck no slower than route() on
 // rca10k, and the routed 10k-gate compile under its absolute ceiling.
 //
-// Results merge into BENCH_perf.json as the "route" section (same
-// read-modify-write contract as bench_mc: existing sections are kept).
+// Results merge into BENCH_perf.json as the "route" section
+// (bench_common.hpp: sections written by other benches are kept).
 //
 //   $ ./bench_route           # a few seconds; updates ./BENCH_perf.json
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "bench_common.hpp"
 #include "api/flow.hpp"
-#include "core/design_kit.hpp"
 #include "drc/drc.hpp"
 #include "gen/gen.hpp"
 #include "route/extract.hpp"
@@ -44,12 +42,7 @@ namespace {
 
 using namespace cnfet;
 namespace json = util::json;
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
+using bench::ms_since;
 
 struct Workload {
   const char* name;
@@ -150,8 +143,9 @@ json::Value to_json(const Measured& m) {
 }  // namespace
 
 int main() {
-  static const core::DesignKit kit(layout::Tech::kCnfet65);
-  const auto& lib = kit.library();
+  const auto lib_handle =
+      api::LibraryCache::global().get(layout::Tech::kCnfet65).value();
+  const auto& lib = *lib_handle;
   const auto& rules = lib.cells().front().built.layout.rules();
 
   flow::FullAdderOptions fa_opts;
@@ -195,22 +189,6 @@ int main() {
       std::min(results[0].nets_per_sec, results[1].nets_per_sec);
 
   // --- merge the "route" section into BENCH_perf.json -----------------------
-  const char* path = "BENCH_perf.json";
-  json::Value root = json::Value::object();
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        root = json::parse(text.str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "existing %s is unparseable (%s); rewriting\n",
-                     path, e.what());
-        root = json::Value::object();
-      }
-    }
-  }
   json::Value route = json::Value::object();
   route.set("fa13", to_json(results[0]));
   route.set("rca10k", to_json(results[1]));
@@ -221,16 +199,7 @@ int main() {
   route.set("routed_never_faster", never_faster);
   route.set("e2e_ok", e2e_ok);
   route.set("min_nets_per_sec", min_nets_per_sec);
-  root.set("route", std::move(route));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << json::dump(root, 2) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
-  }
-  std::printf("\nmerged \"route\" into %s\n", path);
+  if (!bench::merge_perf_json(bench::object({{"route", route}}))) return 1;
 
   if (!connectivity || !verify_ok || !drc_clean || !deterministic ||
       !never_faster || !e2e_ok) {

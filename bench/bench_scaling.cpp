@@ -11,18 +11,17 @@
 // scripts/check_perf.py, which skips them on hosts with fewer than 4
 // hardware threads.
 //
-// Results merge into BENCH_perf.json as the "scaling" section (same
-// read-modify-write contract as bench_serve/bench_scale: existing
-// sections are kept).
+// Results merge into BENCH_perf.json as the "scaling" section
+// (bench_common.hpp: sections written by other benches are kept).
 //
 //   $ ./bench_scaling         # a few seconds; updates ./BENCH_perf.json
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "api/batch.hpp"
 #include "cnt/analyzer.hpp"
 #include "gen/gen.hpp"
@@ -38,24 +37,9 @@ namespace {
 
 using namespace cnfet;
 namespace json = util::json;
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-template <typename Fn>
-double best_ms(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const double elapsed = ms_since(start);
-    if (elapsed < best) best = elapsed;
-  }
-  return best;
-}
+using bench::best_ms;
+using bench::libraries_identical;
+using bench::ms_since;
 
 /// One subsystem's ladder: wall ms per thread count, all rungs checked
 /// bit-identical to the t=1 run.
@@ -97,33 +81,6 @@ json::Value ladder_json(const Ladder& ladder) {
   }
   section.set("identical", ladder.identical);
   return section;
-}
-
-/// NLDM tables of two libraries, compared bitwise.
-bool libraries_identical(const liberty::Library& a,
-                         const liberty::Library& b) {
-  if (a.cells().size() != b.cells().size()) return false;
-  for (std::size_t c = 0; c < a.cells().size(); ++c) {
-    const auto& ca = a.cells()[c];
-    const auto& cb = b.cells()[c];
-    if (ca.name != cb.name || ca.arcs.size() != cb.arcs.size()) return false;
-    for (std::size_t arc = 0; arc < ca.arcs.size(); ++arc) {
-      const auto& slews = ca.arcs[arc].delay.slews();
-      const auto& loads = ca.arcs[arc].delay.loads();
-      for (std::size_t si = 0; si < slews.size(); ++si) {
-        for (std::size_t li = 0; li < loads.size(); ++li) {
-          if (ca.arcs[arc].delay.at(si, li) != cb.arcs[arc].delay.at(si, li) ||
-              ca.arcs[arc].out_slew.at(si, li) !=
-                  cb.arcs[arc].out_slew.at(si, li) ||
-              ca.arcs[arc].energy.at(si, li) !=
-                  cb.arcs[arc].energy.at(si, li)) {
-            return false;
-          }
-        }
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -174,11 +131,7 @@ int main() {
       mc_t1 = result;
     } else {
       mc_ladder.identical =
-          mc_ladder.identical &&
-          result.failing_trials == mc_t1.failing_trials &&
-          result.tubes_sampled == mc_t1.tubes_sampled &&
-          result.stray_shorts == mc_t1.stray_shorts &&
-          result.stray_chains == mc_t1.stray_chains;
+          mc_ladder.identical && bench::results_identical(result, mc_t1);
     }
   }
   print_ladder("monte_carlo", mc_ladder);
@@ -274,22 +227,6 @@ int main() {
               counting ? "on" : "off");
 
   // --- merge the "scaling" section into BENCH_perf.json --------------------
-  const char* path = "BENCH_perf.json";
-  json::Value root = json::Value::object();
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      try {
-        root = json::parse(text.str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "existing %s is unparseable (%s); rewriting\n",
-                     path, e.what());
-        root = json::Value::object();
-      }
-    }
-  }
   json::Value scaling = json::Value::object();
   scaling.set("hardware_threads", hardware);
   scaling.set("alloc_counting", counting);
@@ -301,16 +238,9 @@ int main() {
   opt_section.set("gates", static_cast<int>(n10k));
   opt_section.set("rounds", kSizingRounds);
   scaling.set("opt_sizing", std::move(opt_section));
-  root.set("scaling", std::move(scaling));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << json::dump(root, 2) << "\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path);
-      return 1;
-    }
+  if (!bench::merge_perf_json(bench::object({{"scaling", scaling}}))) {
+    return 1;
   }
-  std::printf("\nmerged \"scaling\" into %s\n", path);
 
   const bool all_identical = char_ladder.identical && mc_ladder.identical &&
                              batch_ladder.identical && opt_ladder.identical;

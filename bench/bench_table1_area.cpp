@@ -11,12 +11,14 @@
 #include <string>
 #include <vector>
 
-#include "core/design_kit.hpp"
+#include "cnt/analyzer.hpp"
+#include "drc/drc.hpp"
+#include "layout/cells.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-using cnfet::core::DesignKit;
+using namespace cnfet;
 using cnfet::layout::LayoutStyle;
 using cnfet::util::fmt_fixed;
 using cnfet::util::fmt_percent;
@@ -33,8 +35,26 @@ const std::map<std::string, std::vector<double>> kPaper = {
     {"AOI21/OAI21", {44.3, 40.6, 36.4, 32.5}},
 };
 
-double cell_core_area(const cnfet::layout::BuiltCell& built) {
-  return built.layout.core_area_lambda2();
+/// One structure-audit row: area, etch/contact/via counts, the exact
+/// immunity proof and DRC. The etched technique needs vertical gating by
+/// construction, so it is checked under the relaxed deck to keep the area
+/// comparison apples-to-apples.
+std::vector<std::string> audit_row(const layout::BuiltCell& built) {
+  const auto style = built.plan.style;
+  const bool immune =
+      cnt::check_exact(built.layout, built.netlist, built.function).immune;
+  drc::DrcOptions drc_options;
+  drc_options.allow_vertical_gating = style != LayoutStyle::kCompactEuler;
+  const bool drc_clean = drc::check(built.layout, drc_options).clean();
+  return {built.spec.name,
+          layout::to_string(style),
+          fmt_fixed(built.layout.active_area_lambda2(), 0),
+          fmt_fixed(built.layout.core_area_lambda2(), 0),
+          std::to_string(built.layout.etch_slot_count()),
+          std::to_string(built.plan.redundant_contacts),
+          std::to_string(built.layout.via_on_gate_count()),
+          immune ? "yes" : "NO",
+          drc_clean ? "clean" : "VIOLATIONS"};
 }
 
 }  // namespace
@@ -52,25 +72,31 @@ int main() {
     std::printf("%s\n", t.to_string().c_str());
   }
 
-  const DesignKit kit;
   std::printf("Measured (this kit, cell core area = strips + routing gap):\n");
   TextTable measured({"Cell", "3l", "4l", "6l", "10l", "old etch slots",
                       "new redundant contacts"});
+  TextTable audit({"Cell", "style", "active area (l^2)", "core area (l^2)",
+                   "etch", "red.contacts", "via-on-gate", "immune", "DRC"});
   for (const char* name : {"INV", "NAND2", "NOR2", "NAND3", "NOR3", "AOI22",
                            "OAI22", "AOI21", "OAI21"}) {
+    const auto& spec = layout::find_cell_spec(name);
     std::vector<std::string> row{name};
     int etches = 0, redundant = 0;
     for (const double w : kWidths) {
-      const auto old_cell =
-          kit.cell(name, LayoutStyle::kEtchedIsolatedBranches,
-                   cnfet::layout::CellScheme::kScheme1, w);
-      const auto new_cell = kit.cell(name, LayoutStyle::kCompactEuler,
-                                     cnfet::layout::CellScheme::kScheme1, w);
-      const double a_old = cell_core_area(old_cell);
-      const double a_new = cell_core_area(new_cell);
+      const auto old_cell = layout::build_cell(
+          spec, {.style = LayoutStyle::kEtchedIsolatedBranches,
+                 .base_width_lambda = w});
+      const auto new_cell = layout::build_cell(
+          spec, {.style = LayoutStyle::kCompactEuler, .base_width_lambda = w});
+      const double a_old = old_cell.layout.core_area_lambda2();
+      const double a_new = new_cell.layout.core_area_lambda2();
       row.push_back(fmt_percent((a_old - a_new) / a_old, 2));
       etches = old_cell.layout.etch_slot_count();
       redundant = new_cell.plan.redundant_contacts;
+      if (w == 4.0) {
+        audit.add_row(audit_row(new_cell));
+        audit.add_row(audit_row(old_cell));
+      }
     }
     row.push_back(std::to_string(etches));
     row.push_back(std::to_string(redundant));
@@ -79,18 +105,6 @@ int main() {
   std::printf("%s\n", measured.to_string().c_str());
 
   std::printf("Structure audit at 4l (both techniques):\n");
-  TextTable audit({"Cell", "style", "active area (l^2)", "core area (l^2)",
-                   "etch", "red.contacts", "via-on-gate", "immune", "DRC"});
-  for (const auto& s : kit.table1_sweep()) {
-    if (s.width_lambda != 4.0) continue;
-    audit.add_row({s.cell, cnfet::layout::to_string(s.style),
-                   fmt_fixed(s.active_area_lambda2, 0),
-                   fmt_fixed(s.core_area_lambda2, 0),
-                   std::to_string(s.etch_slots),
-                   std::to_string(s.redundant_contacts),
-                   std::to_string(s.via_on_gate), s.immune ? "yes" : "NO",
-                   s.drc_clean ? "clean" : "VIOLATIONS"});
-  }
   std::printf("%s\n", audit.to_string().c_str());
 
   std::printf(

@@ -7,13 +7,13 @@
 // bit-identical to a single-threaded run.
 #include <cstdio>
 
-#include "core/design_kit.hpp"
+#include "cnt/analyzer.hpp"
+#include "layout/cells.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace cnfet;
-  const core::DesignKit kit;
   const int threads = util::hardware_threads();
 
   std::printf("functional yield under mispositioned CNTs "
@@ -21,15 +21,20 @@ int main() {
 
   util::TextTable t({"cell", "sigma(angle)", "naive yield", "euler yield"});
   for (const char* name : {"NAND2", "NAND3", "NOR3", "AOI21", "AOI22"}) {
+    const auto& spec = layout::find_cell_spec(name);
+    const auto naive_cell = layout::build_cell(
+        spec, {.style = layout::LayoutStyle::kNaiveVulnerable});
+    const auto euler_cell = layout::build_cell(spec);
     for (const double sigma : {4.0, 8.0, 16.0, 32.0}) {
       cnt::TubeModel model;
       model.angle_sigma_deg = sigma;
       model.bend_sigma_deg = sigma / 2;
-      auto run = [&](layout::LayoutStyle style) {
-        return kit.monte_carlo(name, style, 500, 7, model, threads);
+      auto run = [&](const layout::BuiltCell& built) {
+        return cnt::monte_carlo(built.layout, built.netlist, built.function,
+                                model, 500, 7, threads);
       };
-      const auto naive = run(layout::LayoutStyle::kNaiveVulnerable);
-      const auto euler = run(layout::LayoutStyle::kCompactEuler);
+      const auto naive = run(naive_cell);
+      const auto euler = run(euler_cell);
       t.add_row({name, util::fmt_fixed(sigma, 0) + " deg",
                  util::fmt_percent(naive.yield(), 1),
                  util::fmt_percent(euler.yield(), 1)});

@@ -1,13 +1,14 @@
 // Quickstart: compile an immune CNFET NAND3 from its Boolean function to
 // signed-off GDSII with one api::Flow, then peek at the cell-level detail
-// (strip plan, immunity proof, ASCII art) through the DesignKit facade.
+// (strip plan, immunity proof, ASCII art) of the same cell built directly
+// with layout::build_cell.
 //
 //   $ ./example_quickstart
 #include <cstdio>
 #include <filesystem>
 
 #include "api/flow.hpp"
-#include "core/design_kit.hpp"
+#include "layout/cells.hpp"
 #include "layout/strip.hpp"
 
 int main(int, char** argv) {
@@ -48,11 +49,10 @@ int main(int, char** argv) {
     return 1;
   }
 
-  // 2. Cell-level detail through the DesignKit shim: the plane plan is the
+  // 2. Cell-level detail from layout::build_cell: the plane plan is the
   //    paper's Figure 3(b) — one diffusion strip per plane ordered by a
   //    common-gate-order Euler trail.
-  const core::DesignKit kit;
-  const auto nand3 = kit.cell("NAND3");
+  const auto nand3 = layout::build_cell(layout::find_cell_spec("NAND3"));
   std::printf("NAND3 pull-up strip : %s\n",
               layout::to_string(nand3.plan.pun, nand3.netlist).c_str());
   std::printf("NAND3 pull-down strip: %s\n",

@@ -57,7 +57,8 @@ class LibraryCache {
   /// instances exist for tools and tests that need an isolated disk tier.
   LibraryCache();
 
-  /// Process-wide cache shared by Flow, run_batch and core::DesignKit.
+  /// Process-wide cache shared by Flow, run_batch, serve::execute and
+  /// every bench or tool that needs a characterized library.
   [[nodiscard]] static LibraryCache& global();
 
   /// The default-characterized library for a technology, building and

@@ -1,9 +1,11 @@
 // Timing-driven netlist optimization passes over the incremental
 // sta::TimingGraph: greedy critical-path gate sizing across the library's
 // drive families, output/fanout buffer insertion, and dead/duplicate-gate
-// cleanup. Every pass mutates the flow::GateNetlist in place and keeps the
-// shared graph consistent through its incremental edit notifications, so a
-// sizing sweep pays one cone re-time per candidate instead of a full STA.
+// cleanup. optimize() always runs cleanup -> sizing -> buffering -> sizing
+// (the second sizing round re-sizes under the loads the buffers changed).
+// Every pass mutates the flow::GateNetlist in place and keeps the shared
+// graph consistent through its incremental edit notifications, so a sizing
+// sweep pays one cone re-time per candidate instead of a full STA.
 //
 // The passes never change the netlist's function: optimize() snapshots the
 // exhaustive truth table before running and re-checks it after (designs up
@@ -32,9 +34,6 @@ struct OptOptions {
   /// Nets with at least this many sink pins are candidates for fanout
   /// buffer splitting; 0 disables splitting.
   int fanout_buffer_threshold = 4;
-  bool enable_cleanup = true;
-  bool enable_sizing = true;
-  bool enable_buffering = true;
   /// Cross-check the graph against a full rebuild after every accepted
   /// edit (bit-for-bit; throws on divergence). For tests — quadratic.
   bool verify_incremental = false;

@@ -40,19 +40,13 @@ PassStats optimize(GateNetlist& netlist, const liberty::Library& library,
 
   // Structural cleanup first — it invalidates gate indices, so the graph
   // the timing-driven passes share is built over the cleaned netlist.
-  if (options.enable_cleanup) cleanup(netlist, &stats);
+  cleanup(netlist, &stats);
 
   sta::TimingGraph graph(netlist, options.sta, options.target_delay);
-  if (options.enable_sizing) {
-    size_gates(netlist, graph, library, options, area_budget, &stats);
-  }
-  if (options.enable_buffering) {
-    insert_buffers(netlist, graph, library, options, area_budget, &stats);
-  }
+  size_gates(netlist, graph, library, options, area_budget, &stats);
+  insert_buffers(netlist, graph, library, options, area_budget, &stats);
   // Buffers change the loads the first sizing round optimized under.
-  if (options.enable_sizing && options.enable_buffering) {
-    size_gates(netlist, graph, library, options, area_budget, &stats);
-  }
+  size_gates(netlist, graph, library, options, area_budget, &stats);
 
   stats.delay_after = graph.worst_arrival();
   stats.area_after = total_area(netlist);

@@ -146,24 +146,16 @@ util::Result<json::Value> parse_response(const std::string& line) {
 }
 
 util::Diagnostics response_diagnostics(const json::Value& response) {
-  util::Diagnostics diags;
   try {
     const json::Value* arr = response.find("diagnostics");
-    if (arr == nullptr || !arr->is_array()) return diags;
-    for (const auto& item : arr->items()) {
-      const std::string& severity = item.get_string("severity");
-      util::Diagnostic d;
-      d.severity = severity == "info"      ? util::Severity::kInfo
-                   : severity == "warning" ? util::Severity::kWarning
-                                           : util::Severity::kError;
-      d.stage = item.get_string("stage");
-      d.message = item.get_string("message");
-      diags.add(std::move(d));
-    }
-  } catch (const std::exception&) {
-    // Display-only: a malformed diagnostics array yields what parsed so far.
+    if (arr == nullptr) return {};
+    return api::diagnostics_from_json(*arr);
+  } catch (const std::exception& e) {
+    util::Diagnostics diags;
+    diags.error("serve", std::string("malformed response diagnostics: ") +
+                             e.what());
+    return diags;
   }
-  return diags;
 }
 
 std::string to_hex(const std::string& bytes) {

@@ -143,8 +143,9 @@ struct Request {
 [[nodiscard]] util::Result<util::json::Value> parse_response(
     const std::string& line);
 
-/// The diagnostics array of a response, as a util::Diagnostics (empty when
-/// the field is absent or malformed — display-only, so lenient).
+/// The diagnostics array of a response, read by api::diagnostics_from_json
+/// (empty when the field is absent). A malformed array yields one error
+/// Diagnostic naming the failure, never a silent partial list.
 [[nodiscard]] util::Diagnostics response_diagnostics(
     const util::json::Value& response);
 

@@ -41,6 +41,12 @@ expect "serve bad timeout"    2 -- "$CNFETC" serve --idle-timeout-ms banana
 expect "serve bad max-conns"  2 -- "$CNFETC" serve --max-connections many
 expect "monte-carlo --naive"  2 -- "$CNFETC" monte-carlo --cell NAND3 --naive
 expect "zero trials"          2 -- "$CNFETC" monte-carlo --cell NAND3 --trials 0
+# Numeric flags are whole numbers: integers digits only, doubles finite.
+expect "negative seed"        2 -- "$CNFETC" monte-carlo --cell NAND3 --trials 10 --seed -1
+expect "signed seed"          2 -- "$CNFETC" monte-carlo --cell NAND3 --trials 10 --seed +3
+expect "spaced trials"        2 -- "$CNFETC" monte-carlo --cell NAND3 --trials " 10"
+expect "nan drive"            2 -- "$CNFETC" compile --cell INV --out /tmp/x --drive nan
+expect "inf output drive"     2 -- "$CNFETC" compile --cell INV --out /tmp/x --output-drive inf
 expect "help exits 0"         0 -- "$CNFETC" help
 expect "--help exits 0"       0 -- "$CNFETC" --help
 

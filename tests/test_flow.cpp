@@ -5,14 +5,24 @@
 
 #include <sstream>
 
-#include "core/design_kit.hpp"
+#include "api/library_cache.hpp"
+#include "cnt/analyzer.hpp"
+#include "drc/drc.hpp"
+#include "flow/gate_netlist.hpp"
+#include "flow/gds_export.hpp"
+#include "flow/mapper.hpp"
+#include "flow/placer.hpp"
+#include "layout/cells.hpp"
+#include "liberty/library.hpp"
+#include "sta/sta.hpp"
 
 namespace cnfet {
 namespace {
 
 const liberty::Library& cnfet_library() {
-  static const core::DesignKit kit(layout::Tech::kCnfet65);
-  return kit.library();
+  static const auto library =
+      api::LibraryCache::global().get(layout::Tech::kCnfet65).value();
+  return *library;
 }
 
 TEST(Liberty, LibraryHasDriveLadder) {

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "api/serialize.hpp"
-#include "core/design_kit.hpp"
 #include "gen/gen.hpp"
 #include "util/json.hpp"
 
@@ -14,8 +13,9 @@ namespace cnfet {
 namespace {
 
 const liberty::Library& cnfet_library() {
-  static const core::DesignKit kit(layout::Tech::kCnfet65);
-  return kit.library();
+  static const auto library =
+      api::LibraryCache::global().get(layout::Tech::kCnfet65).value();
+  return *library;
 }
 
 gen::GenOptions options_for(gen::Family family, int width_or_gates,

@@ -1,6 +1,8 @@
 // Unit tests for strip construction, plane planning, and cell assembly.
 #include <gtest/gtest.h>
 
+#include "cnt/analyzer.hpp"
+#include "drc/drc.hpp"
 #include "layout/cells.hpp"
 #include "layout/generate.hpp"
 #include "layout/strip.hpp"
@@ -144,6 +146,31 @@ TEST(CellLayout, EulerCompactBeatsEtchedOnArea) {
               etched.layout.core_area_lambda2())
         << name;
   }
+}
+
+TEST(CellLayout, Nand3StructureAuditCompactVsEtched) {
+  // Table 1's structure audit at 4l: the etched technique pays two etch
+  // slots and vias on gates; both stay immune and DRC-clean (the etched
+  // cell under the vertical-gating deck it needs by construction).
+  CellBuildOptions patil_opt;
+  patil_opt.style = LayoutStyle::kEtchedIsolatedBranches;
+  const auto euler = build_cell(find_cell_spec("NAND3"));
+  const auto etched = build_cell(find_cell_spec("NAND3"), patil_opt);
+  EXPECT_EQ(euler.layout.etch_slot_count(), 0);
+  EXPECT_EQ(etched.layout.etch_slot_count(), 2);
+  EXPECT_EQ(euler.layout.via_on_gate_count(), 0);
+  EXPECT_GT(etched.layout.via_on_gate_count(), 0);
+  EXPECT_LT(euler.layout.core_area_lambda2(),
+            etched.layout.core_area_lambda2());
+  for (const auto* built : {&euler, &etched}) {
+    EXPECT_TRUE(
+        cnt::check_exact(built->layout, built->netlist, built->function)
+            .immune);
+  }
+  EXPECT_TRUE(drc::check(euler.layout).clean());
+  drc::DrcOptions vertical_gating;
+  vertical_gating.allow_vertical_gating = true;
+  EXPECT_TRUE(drc::check(etched.layout, vertical_gating).clean());
 }
 
 TEST(CellLayout, InverterLayoutsAreIdenticalAcrossTechniques) {

@@ -137,13 +137,13 @@ TEST_P(FamilyProperty, AreaScalesWithWidthNotStyleArtifacts) {
 INSTANTIATE_TEST_SUITE_P(
     FamilyStyleSchemeWidth, FamilyProperty,
     ::testing::Combine(
-        ::testing::Values("INV", "NAND2", "NAND3", "NOR2", "AOI21", "AOI22",
-                          "OAI22", "AOI31"),
+        ::testing::Values("INV", "NAND2", "NAND3", "NOR2", "NOR3", "AOI21",
+                          "AOI22", "OAI21", "OAI22", "AOI31"),
         ::testing::Values(LayoutStyle::kNaiveVulnerable,
                           LayoutStyle::kEtchedIsolatedBranches,
                           LayoutStyle::kCompactEuler),
         ::testing::Values(CellScheme::kScheme1, CellScheme::kScheme2),
-        ::testing::Values(3.0, 6.0)));
+        ::testing::Values(3.0, 4.0, 6.0, 10.0)));
 
 /// Euler invariants on random-ish series-parallel expressions.
 class EulerProperty : public ::testing::TestWithParam<const char*> {};

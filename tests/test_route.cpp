@@ -15,7 +15,6 @@
 
 #include "api/flow.hpp"
 #include "api/serialize.hpp"
-#include "core/design_kit.hpp"
 #include "drc/drc.hpp"
 #include "gds/gds.hpp"
 #include "gen/gen.hpp"
@@ -30,8 +29,9 @@ namespace cnfet {
 namespace {
 
 const liberty::Library& cnfet_library() {
-  static const core::DesignKit kit(layout::Tech::kCnfet65);
-  return kit.library();
+  static const auto library =
+      api::LibraryCache::global().get(layout::Tech::kCnfet65).value();
+  return *library;
 }
 
 const layout::DesignRules& cnfet_rules() {

@@ -6,7 +6,6 @@
 
 #include "api/flow.hpp"
 #include "api/serialize.hpp"
-#include "core/design_kit.hpp"
 #include "gen/gen.hpp"
 #include "opt/opt.hpp"
 #include "sta/timing_graph.hpp"
@@ -16,8 +15,9 @@ namespace cnfet {
 namespace {
 
 const liberty::Library& cnfet_library() {
-  static const core::DesignKit kit(layout::Tech::kCnfet65);
-  return kit.library();
+  static const auto library =
+      api::LibraryCache::global().get(layout::Tech::kCnfet65).value();
+  return *library;
 }
 
 gen::Generated random_dag(int gates, int num_inputs, std::uint64_t seed) {

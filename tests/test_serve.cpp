@@ -107,6 +107,30 @@ TEST(ServeProtocol, ResponsesCarryTheEnvelopeAndDiagnostics) {
   EXPECT_TRUE(err_diags.has_errors());
 }
 
+TEST(ServeProtocol, MalformedResponseDiagnosticsAreOneNamedError) {
+  json::Value response = serve::error_response("sta", "q8", "time", "late");
+  auto diags = json::Value::array();
+  json::Value bogus = json::Value::object();
+  bogus.set("severity", "bogus");
+  bogus.set("stage", "time");
+  bogus.set("message", "late");
+  diags.push_back(std::move(bogus));
+  response.set("diagnostics", std::move(diags));
+  const auto read = serve::response_diagnostics(response);
+  ASSERT_EQ(read.items().size(), 1u);
+  EXPECT_EQ(read.items()[0].severity, util::Severity::kError);
+  EXPECT_EQ(read.items()[0].stage, "serve");
+  EXPECT_NE(read.items()[0].message.find("unknown severity: \"bogus\""),
+            std::string::npos)
+      << read.items()[0].message;
+
+  response.set("diagnostics", "not an array");
+  EXPECT_TRUE(serve::response_diagnostics(response).has_errors());
+  EXPECT_TRUE(
+      serve::response_diagnostics(serve::error_response("sta", "q9", {}))
+          .empty());
+}
+
 TEST(ServeProtocol, MalformedEnvelopesAreStructuredFailures) {
   const serve::WireLimits limits;
   EXPECT_FALSE(serve::parse_request("this is not json", limits).ok());

@@ -21,6 +21,9 @@
 // cnfetd); `ping`/`stop` are the matching health check and graceful stop.
 //
 // Exit codes: 0 success, 1 a flow/job failed, 2 usage error.
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -174,23 +177,21 @@ void apply_cache_dir(Args& args) {
   }
 }
 
-/// stod/stoi/stoull without the uncaught-throw abort: a malformed numeric
-/// flag is a usage error, not a SIGABRT.
+/// Parses a whole numeric flag with std::from_chars: integers are digits
+/// only (no sign, no space), doubles must be finite. A malformed flag is
+/// a usage error, not a SIGABRT or a value nobody typed.
 template <typename T>
 bool parse_number(const std::string& text, T* out) {
-  try {
-    std::size_t used = 0;
-    if constexpr (std::is_same_v<T, double>) {
-      *out = std::stod(text, &used);
-    } else if constexpr (std::is_same_v<T, int>) {
-      *out = std::stoi(text, &used);
-    } else {
-      *out = std::stoull(text, &used);
+  if constexpr (std::is_integral_v<T>) {
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+      return false;
     }
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
   }
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, *out);
+  if (error != std::errc() || stop != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
+  return true;
 }
 
 /// Prints the disk-tier notices (loads, stores, fallbacks) once at exit.
