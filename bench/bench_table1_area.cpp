@@ -111,7 +111,7 @@ int main() {
       "Shape check: INV identical under both techniques; every multi-branch\n"
       "cell is strictly smaller with the compact technique; both remain\n"
       "100%% immune. Our strip-geometry deltas are width-independent by\n"
-      "construction (see EXPERIMENTS.md for the reconstruction analysis of\n"
-      "the paper's width-dependent percentages).\n");
+      "construction; the paper's fall with width (see \"Model calibration\n"
+      "and the Table-1 deviation\" in docs/reproducing_the_paper.md).\n");
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "api/flow.hpp"
 
 #include <exception>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -464,16 +463,7 @@ util::Result<std::string> Flow::write_gds(const std::string& path) const {
         "export", "flow has not reached the exported stage");
   }
   try {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      return util::Result<std::string>::failure("export",
-                                                "cannot open " + path);
-    }
-    gds::write(exported_->gds, out);
-    if (!out.good()) {
-      return util::Result<std::string>::failure("export",
-                                                "short write to " + path);
-    }
+    gds::write_file(exported_->gds, path);
   } catch (const std::exception& e) {
     return util::Result<std::string>::failure("export", e.what());
   }

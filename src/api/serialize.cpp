@@ -1,7 +1,6 @@
 #include "api/serialize.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +11,7 @@
 #include "flow/gds_export.hpp"
 #include "layout/cells.hpp"
 #include "logic/expr.hpp"
+#include "util/args.hpp"
 
 namespace cnfet::api {
 
@@ -652,12 +652,9 @@ struct Reader {
       if (const json::Value* v = object.find(key)) read(*v, member.emplace());
     }
     void operator()(const char* key, std::uint64_t& member, AsDecimal) const {
-      // Digits only: from_chars refuses the sign and the leading space
-      // std::stoull would accept, so every accepted seed round-trips.
+      // Digits only, so every accepted seed round-trips.
       const std::string& text = object.at(key).as_string();
-      const char* end = text.data() + text.size();
-      const auto [stop, error] = std::from_chars(text.data(), end, member);
-      if (error != std::errc() || stop != end) {
+      if (!util::parse_whole(text, &member)) {
         throw util::Error("gen options: " + std::string(key) +
                           " is not a uint64: \"" + text + "\"");
       }

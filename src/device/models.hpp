@@ -3,8 +3,8 @@
 // CMOS: alpha-power-law MOSFET (Sakurai–Newton) with a smooth tanh
 // saturation knee, calibrated to a generic 65nm low-power process at
 // Vdd = 1V (the paper benchmarks against an industrial 65nm library with
-// poly gates and low-k dielectric; absolute industrial data is proprietary,
-// so the model is calibrated to public 65nm ballparks — see DESIGN.md).
+// poly gates and low-k dielectric, whose data is proprietary; the model is
+// calibrated to public 65nm ballparks: docs/reproducing_the_paper.md).
 //
 // CNFET: per-tube quasi-ballistic model in the spirit of Deng & Wong's
 // circuit-compatible model [14][15]: a tube contributes an ON current and a
@@ -79,8 +79,8 @@ struct MosParams {
 [[nodiscard]] DeviceModel mos_device(const MosParams& params, double width_um,
                                      const Tech65& tech = {});
 
-/// Per-tube CNFET parameters (values fixed by the calibration study in
-/// EXPERIMENTS.md against the paper's Figure-7 anchor points).
+/// Per-tube CNFET parameters, fixed against the paper's Figure-7 anchor
+/// points (docs/reproducing_the_paper.md, "Model calibration").
 struct CnfetParams {
   double vth = 0.30;          ///< V
   double alpha = 1.20;

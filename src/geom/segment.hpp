@@ -27,11 +27,6 @@ class Segment {
   [[nodiscard]] std::optional<std::pair<double, double>> clip(
       const Rect& r) const;
 
-  /// True when any point of the segment lies in the closed rectangle.
-  [[nodiscard]] bool intersects(const Rect& r) const {
-    return clip(r).has_value();
-  }
-
  private:
   DVec2 a_{};
   DVec2 b_{};

@@ -3,6 +3,7 @@
 #include <csignal>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -11,6 +12,8 @@
 #include "api/library_cache.hpp"
 #include "api/serialize.hpp"
 #include "layout/rules.hpp"
+#include "serve/server.hpp"
+#include "util/args.hpp"
 
 namespace cnfet::serve {
 
@@ -51,80 +54,14 @@ int usage(const std::string& error) {
   return 2;
 }
 
-bool parse_int(const std::string& text, int* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stoi(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-}  // namespace
-
-int daemon_main(int argc, char** argv) {
-  DaemonOptions options;
-  options.server.warm = {layout::Tech::kCnfet65, layout::Tech::kCmos65};
-  bool warm_overridden = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout);
-      return 0;
-    }
-    if (arg == "--no-warm") {
-      options.server.warm.clear();
-      warm_overridden = true;
-      continue;
-    }
-    int* int_option = arg == "--threads"       ? &options.server.num_threads
-                      : arg == "--max-pending" ? &options.server.max_pending
-                      : arg == "--max-connections"
-                          ? &options.server.max_connections
-                      : arg == "--idle-timeout-ms"
-                          ? &options.server.idle_timeout_ms
-                          : nullptr;
-    if (int_option == nullptr && arg != "--host" && arg != "--port" &&
-        arg != "--warm" && arg != "--cache-dir" && arg != "--port-file") {
-      return usage("unknown argument \"" + arg + "\"");
-    }
-    if (i + 1 >= argc) return usage(arg + " needs a value");
-    const std::string value = argv[++i];
-    if (int_option != nullptr) {
-      if (!parse_int(value, int_option)) {
-        return usage(arg + " needs an integer, got \"" + value + "\"");
-      }
-    } else if (arg == "--host") {
-      options.server.host = value;
-    } else if (arg == "--port") {
-      int port = 0;
-      if (!parse_int(value, &port) || port < 0 || port > 65535) {
-        return usage("--port needs a port number, got \"" + value + "\"");
-      }
-      options.server.port = static_cast<std::uint16_t>(port);
-    } else if (arg == "--warm") {
-      auto tech = api::tech_from_string(value);
-      if (!tech.ok()) return usage(tech.error().message);
-      if (!warm_overridden) {
-        options.server.warm.clear();
-        warm_overridden = true;
-      }
-      options.server.warm.push_back(tech.value());
-    } else if (arg == "--cache-dir") {
-      api::LibraryCache::global().set_cache_dir(value);
-    } else {
-      options.port_file = value;
-    }
-  }
-  return run_daemon(options);
-}
-
-int run_daemon(const DaemonOptions& options) {
+/// Serves until a signal or a shutdown request, then drains. When
+/// `port_file` is non-empty, the bound port is written there (one decimal
+/// line) once the server accepts, so scripts find an ephemeral port.
+int run(const ServerOptions& options, const std::string& port_file) {
   g_signal.store(0);
   install_signal_handlers();
 
-  Server server(options.server);
+  Server server(options);
   auto started = server.start();
   if (!started.ok()) {
     std::fprintf(stderr, "cnfetd: %s\n", started.error().to_string().c_str());
@@ -132,16 +69,16 @@ int run_daemon(const DaemonOptions& options) {
   }
   const int port = started.value();
   std::printf("cnfetd listening on %s:%d (%zu warm librar%s)\n",
-              options.server.host.c_str(), port, options.server.warm.size(),
-              options.server.warm.size() == 1 ? "y" : "ies");
+              options.host.c_str(), port, options.warm.size(),
+              options.warm.size() == 1 ? "y" : "ies");
   std::fflush(stdout);
 
-  if (!options.port_file.empty()) {
-    std::ofstream out(options.port_file, std::ios::trunc);
+  if (!port_file.empty()) {
+    std::ofstream out(port_file, std::ios::trunc);
     out << port << "\n";
     if (!out) {
       std::fprintf(stderr, "cnfetd: cannot write port file %s\n",
-                   options.port_file.c_str());
+                   port_file.c_str());
       server.stop();
       return 1;
     }
@@ -170,6 +107,41 @@ int run_daemon(const DaemonOptions& options) {
       static_cast<long long>(stats.rejected_overload),
       static_cast<long long>(stats.malformed_requests));
   return 0;
+}
+
+}  // namespace
+
+int daemon_main(int argc, char** argv) {
+  util::Args args(argc, argv, 1);
+  if (args.has_switch("--help") || args.has_switch("-h")) {
+    print_usage(stdout);
+    return 0;
+  }
+  ServerOptions server;
+  std::string port_file;
+  server.warm = {layout::Tech::kCnfet65, layout::Tech::kCmos65};
+  // --warm lists replace the default set; --no-warm alone empties it.
+  if (args.has_switch("--no-warm")) server.warm.clear();
+  args.read_all("--warm", &server.warm, api::tech_from_string);
+  args.read("--host", &server.host);
+  int port = server.port;
+  args.read("--port", &port, 0, 65535);
+  server.port = static_cast<std::uint16_t>(port);
+  args.read("--threads", &server.num_threads, 0, RequestLimits::kMaxThreads);
+  args.read("--max-pending", &server.max_pending, 0);
+  args.read("--max-connections", &server.max_connections, 0);
+  // The one signed flag: ServerOptions reads < 0 as "never time out".
+  args.read("--idle-timeout-ms", &server.idle_timeout_ms, INT_MIN);
+  args.read("--port-file", &port_file);
+  const auto* cache_dir = args.value_of("--cache-dir");
+  if (const auto error = args.error(); !error.empty()) return usage(error);
+  if (const auto extra = args.positional(); !extra.empty()) {
+    return usage("unknown argument \"" + extra + "\"");
+  }
+  if (cache_dir != nullptr) {
+    api::LibraryCache::global().set_cache_dir(*cache_dir);
+  }
+  return run(server, port_file);
 }
 
 }  // namespace cnfet::serve

@@ -8,6 +8,7 @@
 #include "cnt/analyzer.hpp"
 #include "gds/gds.hpp"
 #include "layout/cells.hpp"
+#include "util/args.hpp"
 
 namespace cnfet::serve {
 
@@ -182,9 +183,15 @@ json::Value monte_carlo(const Request& request) {
   const int trials = require_in_range("trials",
                                       request.payload.get_int("trials"), 1,
                                       RequestLimits::kMaxTrials);
+  // A decimal string carries every uint64 seed (`cnfetc` sends that); a
+  // JSON number is exact only up to 2^53.
   std::uint64_t seed = 1;
   if (const json::Value* s = request.payload.find("seed")) {
-    seed = static_cast<std::uint64_t>(s->as_int64());
+    if (!s->is_string()) {
+      seed = static_cast<std::uint64_t>(s->as_int64());
+    } else if (!util::parse_whole(s->as_string(), &seed)) {
+      throw util::Error("seed is not a uint64: \"" + s->as_string() + "\"");
+    }
   }
   const int threads = threads_field(request.payload, "threads");
   const auto built = layout::build_cell(layout::find_cell_spec(cell));

@@ -22,10 +22,10 @@
 //                                            -> result like compile
 //   sta          {job: <FlowJob>}            -> result {metrics, sta}
 //   monte_carlo  {cell, trials, seed, threads} -> result {trials, ...,
-//                 mc: <MonteCarloResult>} — "mc" is the full serialized
-//                 result (per-trial histograms included); trials must lie
-//                 in [1, RequestLimits::kMaxTrials] and threads in
-//                 [0, RequestLimits::kMaxThreads]
+//                 mc: <MonteCarloResult>}, "mc" the full serialized result
+//                 with histograms; trials in [1, RequestLimits::kMaxTrials],
+//                 threads in [0, RequestLimits::kMaxThreads], seed a uint64
+//                 as a decimal string (or an integer, exact up to 2^53)
 //   batch        {jobs: [<FlowJob>...], num_threads, fail_fast}
 //                                            -> result {report}
 //   gen          {gen: <GenOptions>, options: <FlowOptions>?,

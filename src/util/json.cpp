@@ -128,13 +128,7 @@ const std::vector<std::pair<std::string, Value>>& Value::members() const {
 }
 
 bool Value::get_bool(const std::string& key) const { return at(key).as_bool(); }
-double Value::get_double(const std::string& key) const {
-  return at(key).as_double();
-}
 int Value::get_int(const std::string& key) const { return at(key).as_int(); }
-std::int64_t Value::get_int64(const std::string& key) const {
-  return at(key).as_int64();
-}
 const std::string& Value::get_string(const std::string& key) const {
   return at(key).as_string();
 }

@@ -89,9 +89,7 @@ class Value {
 
   // Checked convenience getters for object members (error names the key).
   [[nodiscard]] bool get_bool(const std::string& key) const;
-  [[nodiscard]] double get_double(const std::string& key) const;
   [[nodiscard]] int get_int(const std::string& key) const;
-  [[nodiscard]] std::int64_t get_int64(const std::string& key) const;
   [[nodiscard]] const std::string& get_string(const std::string& key) const;
 
  private:

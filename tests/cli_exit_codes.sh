@@ -58,7 +58,25 @@ expect "dead server is 1"     1 -- "$CNFETC" ping --server 127.0.0.1:1
 expect "trials over ceiling"  1 -- "$CNFETC" monte-carlo --cell NAND3 --trials 20000000
 expect "threads over ceiling" 1 -- "$CNFETC" monte-carlo --cell NAND3 --trials 10 --threads 100000
 expect "gen over ceiling"     1 -- "$CNFETC" gen --family rca --width 2000000000 --out /tmp/cli_test_dir.$$
-rm -rf "/tmp/cli_test_dir.$$"
+# A local batch goes through the same engine, so the same thread ceiling.
+expect "jobs for batch"       0 -- "$CNFETC" jobs --out /tmp/cli_jobs.$$.json
+expect "batch threads over ceiling" 1 -- "$CNFETC" batch /tmp/cli_jobs.$$.json --threads 300
+rm -rf "/tmp/cli_test_dir.$$" "/tmp/cli_jobs.$$.json"
+
+# Every uint64 seed is its own seed: none is refused, none aliased by a
+# round trip through a JSON double (2^53 + 1 vs 2^53).
+expect "seed above 2^53"      0 -- "$CNFETC" monte-carlo --cell NAND3 --trials 200 --seed 10000000000000000
+"$CNFETC" monte-carlo --cell NAND3 --trials 200 --seed 9007199254740993 \
+  --out /tmp/cli_mc_a.$$.json >/dev/null 2>&1
+"$CNFETC" monte-carlo --cell NAND3 --trials 200 --seed 9007199254740992 \
+  --out /tmp/cli_mc_b.$$.json >/dev/null 2>&1
+if [ ! -s /tmp/cli_mc_a.$$.json ] || cmp -s /tmp/cli_mc_a.$$.json /tmp/cli_mc_b.$$.json; then
+  echo "FAIL seeds 2^53 + 1 and 2^53 write different --out files"
+  failures=$((failures + 1))
+else
+  echo "ok   seeds 2^53 + 1 and 2^53 write different --out files"
+fi
+rm -f /tmp/cli_mc_a.$$.json /tmp/cli_mc_b.$$.json
 
 # help goes to stdout, usage errors to stderr
 if ! "$CNFETC" help 2>/dev/null | grep -q "^usage:"; then
@@ -79,6 +97,14 @@ expect "cnfetd unknown flag"  2 -- "$CNFETD" --bogus
 expect "cnfetd bad port"      2 -- "$CNFETD" --port over9000
 expect "cnfetd missing value" 2 -- "$CNFETD" --port
 expect "cnfetd --help is 0"   0 -- "$CNFETD" --help
+# Digits-only, bounded numeric flags. A daemon that accepted one would
+# serve until killed, so each case runs under a timeout.
+expect "cnfetd negative threads"   2 -- timeout 10 "$CNFETD" --no-warm --threads -1
+expect "cnfetd signed threads"     2 -- timeout 10 "$CNFETD" --no-warm --threads +2
+expect "cnfetd spaced port"        2 -- timeout 10 "$CNFETD" --no-warm --port " 0"
+expect "cnfetd negative pending"   2 -- timeout 10 "$CNFETD" --no-warm --max-pending -5
+expect "cnfetd negative conns"     2 -- timeout 10 "$CNFETD" --no-warm --max-connections -1
+expect "cnfetd threads over ceiling" 2 -- timeout 10 "$CNFETD" --no-warm --threads 257
 if ! "$CNFETD" --help 2>/dev/null | grep -q "^usage:"; then
   echo "FAIL cnfetd --help prints usage on stdout"
   failures=$((failures + 1))

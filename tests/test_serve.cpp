@@ -3,6 +3,7 @@
 // same bytes served and in-process, and the graceful-shutdown guarantees.
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -549,6 +550,39 @@ TEST_F(ServeTest, EveryFlowKindAnswersTheSameServedAndInProcess) {
     ASSERT_TRUE(served.ok());
     EXPECT_EQ(json::dump(served.value()), json::dump(local));
     flow_case.check(local);
+  }
+}
+
+TEST(ServeExecute, MonteCarloSeedsAboveTwoTo53TravelAsDecimalStrings) {
+  // 2^53 + 1 and 2^53 are one JSON double; as decimal strings they stay
+  // two seeds, each the seed cnt::monte_carlo is called with directly.
+  const auto built = layout::build_cell(layout::find_cell_spec("NAND3"));
+  std::vector<std::string> results;
+  for (const std::uint64_t seed : {9007199254740993ULL, 9007199254740992ULL}) {
+    json::Value request = serve::make_request(serve::RequestKind::kMonteCarlo);
+    request.set("cell", "NAND3");
+    request.set("trials", 500);
+    request.set("seed", std::to_string(seed));
+    const json::Value response = execute_locally(request);
+    ASSERT_TRUE(response.get_bool("ok")) << diagnostics_of(response);
+    const auto direct = cnt::monte_carlo(built.layout, built.netlist,
+                                         built.function, cnt::TubeModel{},
+                                         500, seed, 1);
+    results.push_back(json::dump(response.at("result").at("mc")));
+    EXPECT_EQ(results.back(), json::dump(api::to_json(direct)));
+  }
+  EXPECT_NE(results[0], results[1]);
+  // The string form is digits only; a number seed still works (above).
+  for (const char* bad : {"-1", "+3", " 7", "18446744073709551616", ""}) {
+    json::Value request = serve::make_request(serve::RequestKind::kMonteCarlo);
+    request.set("cell", "NAND3");
+    request.set("trials", 10);
+    request.set("seed", bad);
+    const json::Value response = execute_locally(request);
+    EXPECT_FALSE(response.get_bool("ok")) << bad;
+    EXPECT_NE(diagnostics_of(response).find("seed is not a uint64"),
+              std::string::npos)
+        << diagnostics_of(response);
   }
 }
 

@@ -6,30 +6,21 @@
 //   cnfetc batch jobs.json --threads 8 --report report.json
 //   cnfetc resume sessions/nand3/ --to exported
 //
-// The flow verbs (compile, gen, resume, monte-carlo) only parse their
-// flags into a request envelope (serve::make_request). The request then
-// runs through serve::execute in this process, or goes to a running
-// cnfetd with --server HOST:PORT; either way one response writer turns
-// the response into the session dir (flow.json, design.gds), the --out
-// file and the summary lines, so local and served runs write the same
-// bytes. `batch` executes a serialized std::vector<FlowJob> (jobs.json)
-// through api::run_batch and writes the serialized FlowReport
-// (report.json). --cache-dir enables the LibraryCache disk tier so
-// repeated invocations skip characterization.
-//
-// `serve` runs the cnfetd compile server in-process (same flags as
-// cnfetd); `ping`/`stop` are the matching health check and graceful stop.
+// The flow verbs (compile, gen, resume, monte-carlo, batch) read their
+// flags (util::Args) into a request envelope (serve::make_request) and run
+// it through serve::execute in this process, or (all but batch) on a
+// running cnfetd with --server HOST:PORT. One response writer turns the
+// response into the session dir (flow.json, design.gds), the --out or
+// --report file and the summary lines, so local and served runs write the
+// same bytes. `serve` runs cnfetd in-process; `ping`/`stop` check and stop it.
 //
 // Exit codes: 0 success, 1 a flow/job failed, 2 usage error.
-#include <cctype>
-#include <charconv>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,10 +29,12 @@
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/execute.hpp"
+#include "util/args.hpp"
 
 namespace {
 
 using namespace cnfet;
+using util::Args;
 
 void print_usage(std::FILE* out) {
   std::fprintf(
@@ -96,80 +89,11 @@ void print_usage(std::FILE* out) {
       "design.gds, --out) are byte-identical either way.\n");
 }
 
-int usage(const char* error = nullptr) {
-  if (error != nullptr) std::fprintf(stderr, "cnfetc: %s\n\n", error);
+int usage(const std::string& error = "") {
+  if (!error.empty()) std::fprintf(stderr, "cnfetc: %s\n\n", error.c_str());
   print_usage(stderr);
   return 2;
 }
-
-/// Tiny flag cursor: --name value pairs plus boolean switches.
-class Args {
- public:
-  Args(int argc, char** argv, int start) {
-    for (int i = start; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-
-  /// Positional arguments are whatever never matched a flag lookup.
-  [[nodiscard]] const std::vector<std::string>& raw() const { return args_; }
-
-  [[nodiscard]] bool has_switch(const std::string& name) {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i] == name) {
-        consumed_[i] = true;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] const std::string* value_of(const std::string& name) {
-    for (std::size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) {
-        consumed_[i] = true;
-        consumed_[i + 1] = true;
-        return &args_[i + 1];
-      }
-    }
-    return nullptr;
-  }
-
-  /// Every value of a repeatable flag (`--tech cnfet65 --tech cmos65`).
-  [[nodiscard]] std::vector<std::string> values_of(const std::string& name) {
-    std::vector<std::string> values;
-    for (std::size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) {
-        consumed_[i] = true;
-        consumed_[i + 1] = true;
-        values.push_back(args_[i + 1]);
-      }
-    }
-    return values;
-  }
-
-  /// First argument not consumed by a flag ("" when there is none).
-  [[nodiscard]] std::string positional() const {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (consumed_.count(i) == 0 && args_[i].rfind("--", 0) != 0) {
-        return args_[i];
-      }
-    }
-    return {};
-  }
-
-  /// An unconsumed --flag nobody asked for (typo detection).
-  [[nodiscard]] std::string unknown_flag() const {
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (consumed_.count(i) == 0 && args_[i].rfind("--", 0) == 0) {
-        return args_[i];
-      }
-    }
-    return {};
-  }
-
- private:
-  std::vector<std::string> args_;
-  std::map<std::size_t, bool> consumed_;
-};
 
 void apply_cache_dir(Args& args) {
   if (const auto* dir = args.value_of("--cache-dir")) {
@@ -177,53 +101,35 @@ void apply_cache_dir(Args& args) {
   }
 }
 
-/// Parses a whole numeric flag with std::from_chars: integers are digits
-/// only (no sign, no space), doubles must be finite. A malformed flag is
-/// a usage error, not a SIGABRT or a value nobody typed.
-template <typename T>
-bool parse_number(const std::string& text, T* out) {
-  if constexpr (std::is_integral_v<T>) {
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-      return false;
-    }
-  }
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, *out);
-  if (error != std::errc() || stop != end) return false;
-  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
-  return true;
+/// The flow flags compile and gen share.
+void read_flow_flags(Args& args, api::FlowOptions* options) {
+  apply_cache_dir(args);
+  args.read("--tech", &options->tech, api::tech_from_string);
+  args.read("--drive", &options->drive);
+  options->optimize = args.has_switch("--optimize");
+  options->route = args.has_switch("--route");
+  args.read("--top", &options->top_name);
+}
+
+/// Reports a failure on stderr; returns exit code 1.
+int fail(const std::string& message) {
+  std::fprintf(stderr, "cnfetc: %s\n", message.c_str());
+  return 1;
+}
+
+/// Writes `bytes` to `path` and says so; returns the exit code.
+int write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+  if (!out) return fail("cannot write " + path);
+  std::printf("wrote %s\n", path.c_str());
+  return 0;
 }
 
 /// Prints the disk-tier notices (loads, stores, fallbacks) once at exit.
 void print_cache_notes() {
   const auto diags = api::LibraryCache::global().diagnostics();
   if (!diags.empty()) std::printf("%s", diags.to_string().c_str());
-}
-
-util::Result<api::Stage> target_stage(Args& args) {
-  if (const auto* name = args.value_of("--to")) {
-    return api::stage_from_string(*name);
-  }
-  return api::Stage::kExported;
-}
-
-/// The flow flags compile and gen share. Returns a usage error message, or
-/// "" when every flag parsed.
-std::string parse_flow_options(Args& args, api::FlowOptions* options) {
-  if (const auto* tech = args.value_of("--tech")) {
-    auto parsed = api::tech_from_string(*tech);
-    if (!parsed.ok()) return parsed.error().message;
-    options->tech = parsed.value();
-  }
-  if (const auto* drive = args.value_of("--drive")) {
-    if (!parse_number(*drive, &options->drive)) {
-      return "--drive is not a number: " + *drive;
-    }
-  }
-  options->optimize = args.has_switch("--optimize");
-  options->route = args.has_switch("--route");
-  if (const auto* top = args.value_of("--top")) options->top_name = *top;
-  return {};
 }
 
 /// Runs one request envelope: on the daemon at `server` when given, else
@@ -241,24 +147,47 @@ util::Result<util::json::Value> run_request(const std::string* server,
   return client.value().call(request);
 }
 
+/// Prints a response's diagnostics and returns it; nullptr, with the
+/// transport error printed, when there is none.
+util::json::Value* checked(util::Result<util::json::Value>& response) {
+  if (!response.ok()) {
+    fail(response.error().to_string());
+    return nullptr;
+  }
+  std::printf("%s", serve::response_diagnostics(response.value())
+                        .to_string()
+                        .c_str());
+  return &response.value();
+}
+
+/// The result member `key` of a successful response; nullptr, with the
+/// reason printed, when the request failed.
+const util::json::Value* result_of(util::Result<util::json::Value>& response,
+                                   const char* key) {
+  const util::json::Value* doc = checked(response);
+  if (doc == nullptr || !doc->get_bool("ok")) return nullptr;
+  const util::json::Value* result = doc->find("result");
+  const util::json::Value* member =
+      result != nullptr ? result->find(key) : nullptr;
+  if (member == nullptr) {
+    fail("response carries no " + std::string(key) + " result");
+  }
+  return member;
+}
+
 /// Writes a compile/gen/resume response into the session dir: flow.json
 /// (the session payload in its artifact envelope), design.gds (decoded
 /// from gds_hex), and the one-line metrics summary.
 int finish_flow(util::Result<util::json::Value> response,
                 const std::string& dir) {
-  if (!response.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", response.error().to_string().c_str());
-    return 1;
-  }
-  util::json::Value& doc = response.value();
-  std::printf("%s", serve::response_diagnostics(doc).to_string().c_str());
-  const util::json::Value* found = doc.find("result");
+  util::json::Value* doc = checked(response);
+  if (doc == nullptr) return 1;
+  const util::json::Value* found = doc->find("result");
   if (found == nullptr || !found->is_object()) {
-    std::fprintf(stderr, "cnfetc: response carries no result object\n");
-    return 1;
+    return fail("response carries no result object");
   }
   // Moved out, not copied: a 10k-gate session payload is tens of MB.
-  util::json::Value result = doc.take("result");
+  util::json::Value result = doc->take("result");
   const bool has_session = result.find("session") != nullptr;
   const bool has_gds = result.find("gds_hex") != nullptr;
   if (has_session || has_gds) {
@@ -270,27 +199,15 @@ int finish_flow(util::Result<util::json::Value> response,
     const auto saved =
         api::write_artifact(result.take("session"), "flow", path);
     if (!saved.ok()) {
-      std::fprintf(stderr, "cnfetc: save failed: %s\n",
-                   saved.error().to_string().c_str());
-      return 1;
+      return fail("save failed: " + saved.error().to_string());
     }
     std::printf("session saved to %s\n", saved.value().c_str());
   }
   if (has_gds) {
     auto bytes = serve::from_hex(result.get_string("gds_hex"));
-    if (!bytes.ok()) {
-      std::fprintf(stderr, "cnfetc: %s\n", bytes.error().to_string().c_str());
-      return 1;
-    }
+    if (!bytes.ok()) return fail(bytes.error().to_string());
     const auto path = (std::filesystem::path(dir) / "design.gds").string();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.value().data(),
-              static_cast<std::streamsize>(bytes.value().size()));
-    if (!out) {
-      std::fprintf(stderr, "cnfetc: cannot write %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", path.c_str());
+    if (write_bytes(path, bytes.value()) != 0) return 1;
   }
   if (const util::json::Value* metrics = result.find("metrics")) {
     const auto m = api::flow_metrics_from_json(*metrics);
@@ -307,166 +224,108 @@ int finish_flow(util::Result<util::json::Value> response,
     }
   }
   print_cache_notes();
-  return doc.get_bool("ok") ? 0 : 1;
+  return doc->get_bool("ok") ? 0 : 1;
 }
 
 int cmd_compile(Args& args) {
-  apply_cache_dir(args);
-  const auto* cell = args.value_of("--cell");
-  const auto* out_dir = args.value_of("--out");
-  if (cell == nullptr) return usage("compile requires --cell");
-  if (out_dir == nullptr) return usage("compile requires --out");
   api::FlowJob job;
-  job.cell = *cell;
-  if (const auto error = parse_flow_options(args, &job.options);
-      !error.empty()) {
-    return usage(error.c_str());
-  }
-  if (const auto* drive = args.value_of("--output-drive")) {
-    if (!parse_number(*drive, &job.options.output_drive)) {
-      return usage(("--output-drive is not a number: " + *drive).c_str());
-    }
-  }
-  const auto target = target_stage(args);
-  if (!target.ok()) return usage(target.error().message.c_str());
-  job.target = target.value();
+  read_flow_flags(args, &job.options);
+  args.read("--output-drive", &job.options.output_drive);
+  args.read("--to", &job.target, api::stage_from_string);
+  const auto* cell = args.required("--cell", "compile");
+  const auto* out_dir = args.required("--out", "compile");
   const auto* server = args.value_of("--server");
-  if (const auto flag = args.unknown_flag(); !flag.empty()) {
-    return usage(("unknown flag " + flag).c_str());
-  }
+  if (const auto error = args.error(); !error.empty()) return usage(error);
+  job.cell = *cell;
   auto request = serve::make_request(serve::RequestKind::kCompile);
   request.set("job", api::to_json(job));
   return finish_flow(run_request(server, std::move(request)), *out_dir);
 }
 
 int cmd_gen(Args& args) {
-  apply_cache_dir(args);
-  const auto* family_name = args.value_of("--family");
-  const auto* out_dir = args.value_of("--out");
-  if (family_name == nullptr) return usage("gen requires --family");
-  if (out_dir == nullptr) return usage("gen requires --out");
+  std::optional<gen::Family> family;
+  args.read("--family", &family, gen::family_from_string);
   gen::GenOptions gopt;
-  const auto family = gen::family_from_string(*family_name);
-  if (!family.ok()) return usage(family.error().message.c_str());
-  gopt.family = family.value();
-  for (const auto& [flag, field] :
-       {std::pair{"--width", &gopt.width},
-        std::pair{"--gates", &gopt.target_gates},
-        std::pair{"--inputs", &gopt.num_inputs}}) {
-    if (const auto* value = args.value_of(flag)) {
-      if (!parse_number(*value, field) || *field < 1) {
-        return usage((std::string(flag) + " is not a positive integer: " +
-                      *value)
-                         .c_str());
-      }
-    }
-  }
-  if (const auto* seed = args.value_of("--seed")) {
-    if (!parse_number(*seed, &gopt.seed)) {
-      return usage(("--seed is not a uint64: " + *seed).c_str());
-    }
-  }
+  args.read("--width", &gopt.width, 1);
+  args.read("--gates", &gopt.target_gates, 1);
+  args.read("--inputs", &gopt.num_inputs, 1);
+  args.read("--seed", &gopt.seed);
   api::FlowOptions options;
-  if (const auto error = parse_flow_options(args, &options); !error.empty()) {
-    return usage(error.c_str());
-  }
+  read_flow_flags(args, &options);
   gopt.drive = options.drive;
-  const auto target = target_stage(args);
-  if (!target.ok()) return usage(target.error().message.c_str());
+  api::Stage target = api::Stage::kExported;
+  args.read("--to", &target, api::stage_from_string);
+  const auto* out_dir = args.required("--out", "gen");
   const auto* server = args.value_of("--server");
-  if (const auto flag = args.unknown_flag(); !flag.empty()) {
-    return usage(("unknown flag " + flag).c_str());
-  }
+  if (const auto error = args.error(); !error.empty()) return usage(error);
+  if (!family) return usage("gen requires --family");
+  gopt.family = *family;
   auto request = serve::make_request(serve::RequestKind::kGen);
   request.set("gen", api::to_json(gopt));
   request.set("options", api::to_json(options));
-  request.set("target", api::to_string(target.value()));
+  request.set("target", api::to_string(target));
   return finish_flow(run_request(server, std::move(request)), *out_dir);
 }
 
 int cmd_resume(Args& args) {
   apply_cache_dir(args);
-  // Flags first: positional() only knows a token is a flag *value* (not
-  // the positional) once the flag lookups have consumed it.
-  const auto target = target_stage(args);
-  if (!target.ok()) return usage(target.error().message.c_str());
+  api::Stage target = api::Stage::kExported;
+  args.read("--to", &target, api::stage_from_string);
   const bool route = args.has_switch("--route");
   const auto* server = args.value_of("--server");
-  if (const auto flag = args.unknown_flag(); !flag.empty()) {
-    return usage(("unknown flag " + flag).c_str());
-  }
+  if (const auto error = args.error(); !error.empty()) return usage(error);
   const std::string dir = args.positional();
   if (dir.empty()) return usage("resume requires a session directory");
   auto session = api::read_artifact(
       (std::filesystem::path(dir) / "flow.json").string(), "flow");
-  if (!session.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", session.error().to_string().c_str());
-    return 1;
-  }
+  if (!session.ok()) return fail(session.error().to_string());
   auto request = serve::make_request(serve::RequestKind::kResume);
   request.set("session", std::move(session).value());
-  request.set("target", api::to_string(target.value()));
+  request.set("target", api::to_string(target));
   if (route) request.set("route", true);
   return finish_flow(run_request(server, std::move(request)), dir);
 }
 
 int cmd_jobs(Args& args) {
-  const auto* out = args.value_of("--out");
-  if (out == nullptr) return usage("jobs requires --out");
-  std::vector<layout::Tech> techs;
-  for (const auto& name : args.values_of("--tech")) {
-    auto parsed = api::tech_from_string(name);
-    if (!parsed.ok()) return usage(parsed.error().message.c_str());
-    techs.push_back(parsed.value());
-  }
-  if (techs.empty()) techs.push_back(layout::Tech::kCnfet65);
+  std::vector<layout::Tech> techs = {layout::Tech::kCnfet65};
+  args.read_all("--tech", &techs, api::tech_from_string);
+  api::Stage target = api::Stage::kExported;
+  args.read("--to", &target, api::stage_from_string);
+  const auto* out = args.required("--out", "jobs");
+  if (const auto error = args.error(); !error.empty()) return usage(error);
   auto jobs = api::family_jobs(techs);
-  if (const auto* target = args.value_of("--to")) {
-    auto stage = api::stage_from_string(*target);
-    if (!stage.ok()) return usage(stage.error().message.c_str());
-    for (auto& job : jobs) job.target = stage.value();
-  }
-  if (const auto flag = args.unknown_flag(); !flag.empty()) {
-    return usage(("unknown flag " + flag).c_str());
-  }
+  for (auto& job : jobs) job.target = target;
   const auto saved = api::save_jobs(jobs, *out);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", saved.error().to_string().c_str());
-    return 1;
-  }
+  if (!saved.ok()) return fail(saved.error().to_string());
   std::printf("wrote %zu jobs to %s\n", jobs.size(), saved.value().c_str());
   return 0;
 }
 
 int cmd_batch(Args& args) {
   apply_cache_dir(args);
-  // Flags first — see cmd_resume.
-  api::BatchOptions options;
-  if (const auto* threads = args.value_of("--threads")) {
-    if (!parse_number(*threads, &options.num_threads)) {
-      return usage(("--threads is not an integer: " + *threads).c_str());
-    }
-  }
-  if (args.has_switch("--fail-fast")) options.fail_fast = true;
+  int threads = 1;
+  args.read("--threads", &threads, 0);
+  const bool fail_fast = args.has_switch("--fail-fast");
   const auto* report_path = args.value_of("--report");
-  if (const auto flag = args.unknown_flag(); !flag.empty()) {
-    return usage(("unknown flag " + flag).c_str());
-  }
+  if (const auto error = args.error(); !error.empty()) return usage(error);
   const std::string jobs_path = args.positional();
   if (jobs_path.empty()) return usage("batch requires a jobs.json path");
   auto jobs = api::load_jobs(jobs_path);
-  if (!jobs.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", jobs.error().to_string().c_str());
-    return 1;
-  }
-  const auto report = api::run_batch(jobs.value(), options);
+  if (!jobs.ok()) return fail(jobs.error().to_string());
+  auto request = serve::make_request(serve::RequestKind::kBatch);
+  util::json::Value jobs_json = util::json::Value::array();
+  for (const auto& job : jobs.value()) jobs_json.push_back(api::to_json(job));
+  request.set("jobs", std::move(jobs_json));
+  request.set("num_threads", threads);
+  if (fail_fast) request.set("fail_fast", true);
+  auto response = run_request(nullptr, std::move(request));
+  const util::json::Value* report_json = result_of(response, "report");
+  if (report_json == nullptr) return 1;
+  const auto report = api::flow_report_from_json(*report_json);
   std::printf("%s", report.to_string().c_str());
   if (report_path != nullptr) {
     const auto saved = api::save_report(report, *report_path);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "cnfetc: %s\n", saved.error().to_string().c_str());
-      return 1;
-    }
+    if (!saved.ok()) return fail(saved.error().to_string());
     std::printf("wrote %s\n", saved.value().c_str());
   }
   print_cache_notes();
@@ -474,54 +333,26 @@ int cmd_batch(Args& args) {
 }
 
 int cmd_monte_carlo(Args& args) {
-  const auto* cell = args.value_of("--cell");
-  if (cell == nullptr) return usage("monte-carlo requires --cell");
-  int trials = 100000;
-  if (const auto* t = args.value_of("--trials")) {
-    if (!parse_number(*t, &trials) || trials <= 0) {
-      return usage(("--trials is not a positive integer: " + *t).c_str());
-    }
-  }
+  int trials = 100000, threads = 1;
   std::uint64_t seed = 1;
-  if (const auto* s = args.value_of("--seed")) {
-    if (!parse_number(*s, &seed)) {
-      return usage(("--seed is not a uint64: " + *s).c_str());
-    }
-  }
-  int threads = 1;
-  if (const auto* t = args.value_of("--threads")) {
-    if (!parse_number(*t, &threads)) {
-      return usage(("--threads is not an integer: " + *t).c_str());
-    }
-  }
+  args.read("--trials", &trials, 1);
+  args.read("--seed", &seed);
+  args.read("--threads", &threads, 0);
   const bool histogram = args.has_switch("--histogram");
+  const auto* cell = args.required("--cell", "monte-carlo");
   const auto* out_file = args.value_of("--out");
   const auto* server = args.value_of("--server");
-  if (const auto flag = args.unknown_flag(); !flag.empty()) {
-    return usage(("unknown flag " + flag).c_str());
-  }
+  if (const auto error = args.error(); !error.empty()) return usage(error);
 
   auto request = serve::make_request(serve::RequestKind::kMonteCarlo);
   request.set("cell", *cell);
   request.set("trials", trials);
-  request.set("seed", static_cast<std::int64_t>(seed));
+  // A decimal string: a JSON number would round seeds above 2^53.
+  request.set("seed", std::to_string(seed));
   request.set("threads", threads);
-  const auto response = run_request(server, std::move(request));
-  if (!response.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", response.error().to_string().c_str());
-    return 1;
-  }
-  std::printf("%s", serve::response_diagnostics(response.value())
-                        .to_string()
-                        .c_str());
-  if (!response.value().get_bool("ok")) return 1;
-  const util::json::Value* result = response.value().find("result");
-  const util::json::Value* mc_json =
-      result != nullptr ? result->find("mc") : nullptr;
-  if (mc_json == nullptr) {
-    std::fprintf(stderr, "cnfetc: response carries no mc result\n");
-    return 1;
-  }
+  auto response = run_request(server, std::move(request));
+  const util::json::Value* mc_json = result_of(response, "mc");
+  if (mc_json == nullptr) return 1;
   const auto mc = api::monte_carlo_result_from_json(*mc_json);
   std::printf("%s: %d trials, %d failing (yield %.6f), "
               "%lld tubes, %lld stray shorts, %lld stray chains\n",
@@ -543,52 +374,29 @@ int cmd_monte_carlo(Args& args) {
                   chains);
     }
   }
-  if (out_file != nullptr) {
-    std::ofstream out(*out_file, std::ios::binary | std::ios::trunc);
-    out << util::json::dump(*mc_json, 2);
-    if (!out.good()) {
-      std::fprintf(stderr, "cnfetc: cannot write %s\n", out_file->c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out_file->c_str());
-  }
-  return 0;
+  return out_file != nullptr
+             ? write_bytes(*out_file, util::json::dump(*mc_json, 2))
+             : 0;
 }
 
-int cmd_ping(Args& args) {
-  const auto* server = args.value_of("--server");
-  if (server == nullptr) return usage("ping requires --server HOST:PORT");
-  if (const auto flag = args.unknown_flag(); !flag.empty()) {
-    return usage(("unknown flag " + flag).c_str());
-  }
-  auto client = serve::Client::connect(*server);
+int cmd_ping(const std::string& server) {
+  auto client = serve::Client::connect(server);
   if (!client.ok() || !client.value().ping()) {
-    std::fprintf(stderr, "cnfetc: no pong from %s\n", server->c_str());
-    return 1;
+    return fail("no pong from " + server);
   }
-  std::printf("pong from %s\n", server->c_str());
+  std::printf("pong from %s\n", server.c_str());
   return 0;
 }
 
-int cmd_stop(Args& args) {
-  const auto* server = args.value_of("--server");
-  if (server == nullptr) return usage("stop requires --server HOST:PORT");
-  if (const auto flag = args.unknown_flag(); !flag.empty()) {
-    return usage(("unknown flag " + flag).c_str());
-  }
-  auto client = serve::Client::connect(*server);
-  if (!client.ok()) {
-    std::fprintf(stderr, "cnfetc: %s\n", client.error().to_string().c_str());
-    return 1;
-  }
+int cmd_stop(const std::string& server) {
+  auto client = serve::Client::connect(server);
+  if (!client.ok()) return fail(client.error().to_string());
   auto response =
       client.value().call(serve::make_request(serve::RequestKind::kShutdown));
   if (!response.ok() || !response.value().get_bool("ok")) {
-    std::fprintf(stderr, "cnfetc: shutdown request to %s failed\n",
-                 server->c_str());
-    return 1;
+    return fail("shutdown request to " + server + " failed");
   }
-  std::printf("%s is draining and will stop\n", server->c_str());
+  std::printf("%s is draining and will stop\n", server.c_str());
   return 0;
 }
 
@@ -605,11 +413,14 @@ int main(int argc, char** argv) {
   if (command == "jobs") return cmd_jobs(args);
   if (command == "monte-carlo") return cmd_monte_carlo(args);
   if (command == "serve") return serve::daemon_main(argc - 1, argv + 1);
-  if (command == "ping") return cmd_ping(args);
-  if (command == "stop") return cmd_stop(args);
+  if (command == "ping" || command == "stop") {
+    const auto* server = args.required("--server", command);
+    if (const auto error = args.error(); !error.empty()) return usage(error);
+    return command == "ping" ? cmd_ping(*server) : cmd_stop(*server);
+  }
   if (command == "help" || command == "--help" || command == "-h") {
     print_usage(stdout);
     return 0;
   }
-  return usage(("unknown command \"" + command + "\"").c_str());
+  return usage("unknown command \"" + command + "\"");
 }
