@@ -5,8 +5,7 @@
 // at >= 10x by scripts/check_perf.py).
 //
 // Workloads:
-//   * rca256  — 256-bit ripple-carry adder (2304 gates, 513 inputs: the
-//     >64-input vector-simulate path)
+//   * rca256  — 256-bit ripple-carry adder (2304 gates, 513 inputs)
 //   * mul30   — 30x30 array multiplier (~10k gates, deep carry chains)
 //   * rand10k — seeded 10k-gate random DAG (reconvergent, wide fanout)
 //   * rand1k  — 1k-gate random DAG for the opt:: sizing/buffering pass

@@ -47,6 +47,13 @@ util::Result<LibraryHandle> resolve_library(FlowOptions& options) {
   return options.library;
 }
 
+/// The warning a passed check above flow::kExhaustiveInputs leaves.
+std::string sampled_check(std::size_t num_inputs) {
+  return "function checked on " + std::to_string(flow::kSampledWords * 64) +
+         " seeded vectors, not exhaustively (" + std::to_string(num_inputs) +
+         " > " + std::to_string(flow::kExhaustiveInputs) + " inputs)";
+}
+
 }  // namespace
 
 const char* to_string(Stage stage) {
@@ -187,18 +194,14 @@ util::Result<Stage> Flow::map() {
                                              *library_, mopt);
         artifact.num_inputs = static_cast<int>(spec_inputs_.size());
         if (options_.verify) {
-          if (artifact.num_inputs <= 16) {
-            if (!flow::verify_mapping(artifact.map, spec_outputs_,
-                                      artifact.num_inputs)) {
-              return util::Diagnostic{
-                  util::Severity::kError, "map",
-                  "mapped netlist is not equivalent to the specification"};
-            }
-            artifact.verified = true;
-          } else {
-            diags_.warning("map",
-                           "too many inputs for exhaustive verification (" +
-                               std::to_string(artifact.num_inputs) + " > 16)");
+          if (!flow::verify_mapping(artifact.map, spec_outputs_)) {
+            return util::Diagnostic{
+                util::Severity::kError, "map",
+                "mapped netlist is not equivalent to the specification"};
+          }
+          artifact.verified = spec_inputs_.size() <= flow::kExhaustiveInputs;
+          if (!artifact.verified) {
+            diags_.warning("map", sampled_check(spec_inputs_.size()));
           }
         }
         diags_.info("map", "mapped " +
@@ -258,14 +261,12 @@ util::Result<Stage> Flow::optimize() {
           flow::GateNetlist working = mapped_->map.netlist;
           artifact.stats =
               opt::optimize(working, *library_, oopt, &artifact.timing);
-          mapped_->map.netlist = std::move(working);
           if (!artifact.stats.function_verified) {
-            diags_.warning(
-                "optimize",
-                "too many inputs for the exhaustive function recheck (" +
-                    std::to_string(mapped_->map.netlist.inputs().size()) +
-                    " > 16); optimized netlist not re-verified");
+            diags_.warning("optimize",
+                           "optimized netlist's " +
+                               sampled_check(working.inputs().size()));
           }
+          mapped_->map.netlist = std::move(working);
           // The passes change the gate population; refresh the tally the
           // metrics report.
           mapped_->map.nand_count = 0;

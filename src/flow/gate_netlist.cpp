@@ -1,8 +1,11 @@
 #include "flow/gate_netlist.hpp"
 
 #include <algorithm>
+#include <numeric>
 
+#include "logic/truth_table.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace cnfet::flow {
 
@@ -233,43 +236,81 @@ double GateNetlist::net_load(int net, double wire_cap_per_fanout,
   return load;
 }
 
-std::vector<bool> GateNetlist::simulate(std::uint64_t input_row) const {
-  CNFET_REQUIRE_MSG(inputs_.size() <= 64,
-                    "simulate(uint64) supports <= 64 primary inputs; use the "
-                    "std::vector<bool> overload for wider designs");
-  std::vector<bool> value(static_cast<std::size_t>(num_nets()), false);
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    value[static_cast<std::size_t>(inputs_[i])] = (input_row >> i) & 1;
+std::vector<std::uint64_t> GateNetlist::simulate_words(
+    std::span<const std::uint64_t> input_words, std::size_t words,
+    std::span<const int> probe) const {
+  CNFET_REQUIRE(input_words.size() == inputs_.size() * words);
+  for (const int net : probe) CNFET_REQUIRE(net >= 0 && net < num_nets());
+  ensure_topological();
+  const std::size_t block = std::min<std::size_t>(words, 8);
+  std::vector<std::uint64_t> value(static_cast<std::size_t>(num_nets()) *
+                                   block);
+  // Word k of the current block on `net`.
+  const auto at = [&](int net, std::size_t k) -> std::uint64_t& {
+    return value[static_cast<std::size_t>(net) * block + k];
+  };
+  std::vector<std::uint64_t> out(words * probe.size());
+  std::uint64_t pins[logic::TruthTable::kMaxInputs];
+  for (std::size_t base = 0; base < words; base += block) {
+    const std::size_t len = std::min(block, words - base);
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
+      for (std::size_t k = 0; k < len; ++k) {
+        at(inputs_[i], k) = input_words[(base + k) * inputs_.size() + i];
+      }
+    }
+    for (const int g : topo_order_) {
+      const Gate& gate = gates_[static_cast<std::size_t>(g)];
+      for (std::size_t k = 0; k < len; ++k) {
+        for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
+          pins[pin] = at(gate.inputs[pin], k);
+        }
+        at(gate.output, k) = gate.cell->built.function.eval_word(pins);
+      }
+    }
+    for (std::size_t p = 0; p < probe.size(); ++p) {
+      for (std::size_t k = 0; k < len; ++k) {
+        out[(base + k) * probe.size() + p] = at(probe[p], k);
+      }
+    }
   }
-  return simulate_from(std::move(value));
+  return out;
 }
 
 std::vector<bool> GateNetlist::simulate(
     const std::vector<bool>& input_values) const {
-  CNFET_REQUIRE(input_values.size() == inputs_.size());
-  std::vector<bool> value(static_cast<std::size_t>(num_nets()), false);
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    value[static_cast<std::size_t>(inputs_[i])] = input_values[i];
-  }
-  return simulate_from(std::move(value));
-}
-
-std::vector<bool> GateNetlist::simulate_from(std::vector<bool> value) const {
-  for (const auto* g : topological_order()) {
-    std::uint64_t row = 0;
-    for (std::size_t pin = 0; pin < g->inputs.size(); ++pin) {
-      if (value[static_cast<std::size_t>(g->inputs[pin])]) row |= 1ull << pin;
-    }
-    value[static_cast<std::size_t>(g->output)] =
-        g->cell->built.function.eval(row);
+  const std::vector<std::uint64_t> lane(input_values.begin(),
+                                       input_values.end());
+  std::vector<int> every_net(static_cast<std::size_t>(num_nets()));
+  std::iota(every_net.begin(), every_net.end(), 0);
+  std::vector<bool> value;
+  for (const auto word : simulate_words(lane, 1, every_net)) {
+    value.push_back((word & 1) != 0);
   }
   return value;
 }
 
-std::string drive_suffix(double drive) {
-  CNFET_REQUIRE_MSG(drive > 0 && drive == static_cast<int>(drive),
-                    "drive strengths are positive integers");
-  return "_" + std::to_string(static_cast<int>(drive)) + "X";
+CheckPatterns check_patterns(std::size_t num_inputs) {
+  // A fixed seed: the same design always meets the same vectors.
+  constexpr std::uint64_t kSeed = 0x5EED0F1C4EC6ull;
+  const bool exhaustive = num_inputs <= kExhaustiveInputs;
+  CheckPatterns patterns;
+  patterns.words = !exhaustive       ? kSampledWords
+                   : num_inputs > 6 ? std::size_t{1} << (num_inputs - 6)
+                                    : 1;
+  for (std::size_t w = 0; w < patterns.words; ++w) {
+    for (std::size_t i = 0; i < num_inputs; ++i) {
+      patterns.inputs.push_back(
+          exhaustive ? logic::row_word(static_cast<int>(i), w)
+                     : util::derive_stream(kSeed, i * kSampledWords + w));
+    }
+  }
+  return patterns;
+}
+
+std::vector<std::uint64_t> function_snapshot(const GateNetlist& netlist) {
+  const auto patterns = check_patterns(netlist.inputs().size());
+  return netlist.simulate_words(patterns.inputs, patterns.words,
+                                netlist.outputs());
 }
 
 GateNetlist build_full_adder(const liberty::Library& library,
@@ -282,8 +323,7 @@ GateNetlist build_full_adder(const liberty::Library& library,
   nl.mark_input(b);
   nl.mark_input(cin);
 
-  const auto& nand2 =
-      library.find("NAND2" + drive_suffix(options.nand_drive));
+  const auto& nand2 = library.find("NAND2", options.nand_drive);
   auto mk = [&](const std::string& name, int x, int y) {
     const int out = nl.add_net(name);
     nl.add_gate(Gate{&nand2, {x, y}, out, name});
@@ -304,7 +344,7 @@ GateNetlist build_full_adder(const liberty::Library& library,
   auto buffer = [&](int net, const std::string& name, double drive) {
     // Two inverters preserve polarity: a 2X pre-driver into the final stage.
     const auto& pre = library.find("INV_2X");
-    const auto& fin = library.find("INV" + drive_suffix(drive));
+    const auto& fin = library.find("INV", drive);
     const int mid = nl.add_net(name + "_pre");
     const int out = nl.add_net(name + "_buf");
     nl.add_gate(Gate{&pre, {net}, mid, name + "_bufpre"});

@@ -2,6 +2,8 @@
 // "logic-to-GDSII" flow synthesizes, places and times.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,11 +11,6 @@
 #include "liberty/library.hpp"
 
 namespace cnfet::flow {
-
-/// Library-name suffix for a drive strength ("_2X"). The library only
-/// characterizes integral drives, so non-integral requests are a caller
-/// bug (CNFET_REQUIRE) rather than a silent truncation.
-[[nodiscard]] std::string drive_suffix(double drive);
 
 /// One placed-able logic gate instance.
 struct Gate {
@@ -90,18 +87,23 @@ class GateNetlist {
   [[nodiscard]] double net_load(int net, double wire_cap_per_fanout,
                                 double output_load) const;
 
-  /// Exhaustive functional simulation (switch-level truth of each cell):
-  /// value of every net for one primary-input assignment. The packed-row
-  /// form requires <= 64 primary inputs; wider designs (a 32-bit adder has
-  /// 65) use the vector form.
-  [[nodiscard]] std::vector<bool> simulate(std::uint64_t input_row) const;
+  /// The bit-parallel evaluator: 64 patterns per word, one topological
+  /// walk per block of at most 8 words (scratch: 8 words per net). Words
+  /// are pattern-major: input_words[w * inputs().size() + i] is input i on
+  /// patterns 64w..64w+63 (bit b is pattern 64w+b), and the result holds
+  /// net probe[k] at [w * probe.size() + k].
+  [[nodiscard]] std::vector<std::uint64_t> simulate_words(
+      std::span<const std::uint64_t> input_words, std::size_t words,
+      std::span<const int> probe) const;
+
+  /// Every net's value for one primary-input assignment (in inputs()
+  /// order): one lane of simulate_words.
   [[nodiscard]] std::vector<bool> simulate(
       const std::vector<bool>& input_values) const;
 
  private:
   void ensure_adjacency() const;
   void ensure_topological() const;
-  [[nodiscard]] std::vector<bool> simulate_from(std::vector<bool> value) const;
 
   std::vector<std::string> net_names_;
   std::vector<int> inputs_;
@@ -121,6 +123,25 @@ class GateNetlist {
   mutable bool topo_valid_ = false;
   mutable std::vector<int> topo_order_;
 };
+
+/// Primary inputs up to which a function check enumerates every row.
+inline constexpr std::size_t kExhaustiveInputs = 16;
+/// Words per input a wider design's check draws: 4,096 seeded vectors.
+inline constexpr std::size_t kSampledWords = 64;
+
+/// The stimulus of every function check: all rows up to kExhaustiveInputs
+/// inputs (under 6 inputs, rows repeat within the one word), otherwise
+/// kSampledWords words per input from a fixed seed (util::derive_stream).
+struct CheckPatterns {
+  std::size_t words = 0;              ///< words per input
+  std::vector<std::uint64_t> inputs;  ///< pattern-major, as simulate_words
+};
+[[nodiscard]] CheckPatterns check_patterns(std::size_t num_inputs);
+
+/// The netlist's primary-output words under check_patterns(): the function
+/// snapshot opt::optimize compares before and after its passes.
+[[nodiscard]] std::vector<std::uint64_t> function_snapshot(
+    const GateNetlist& netlist);
 
 /// The paper's case-study-2 workload: a full adder from nine NAND2 gates
 /// (Sum and Carry), with optional output buffer inverters.

@@ -263,19 +263,19 @@ class Cover {
   // so eager lookups here would wrongly refuse such libraries.
   [[nodiscard]] const liberty::LibCell* inv() {
     if (inv_ == nullptr) {
-      inv_ = &library_.find("INV" + drive_suffix(options_.drive));
+      inv_ = &library_.find("INV", options_.drive);
     }
     return inv_;
   }
   [[nodiscard]] const liberty::LibCell* nand2() {
     if (nand_ == nullptr) {
-      nand_ = &library_.find("NAND2" + drive_suffix(options_.drive));
+      nand_ = &library_.find("NAND2", options_.drive);
     }
     return nand_;
   }
   [[nodiscard]] const liberty::LibCell* nor2() {
     if (nor_ == nullptr) {
-      nor_ = &library_.find("NOR2" + drive_suffix(options_.drive));
+      nor_ = &library_.find("NOR2", options_.drive);
     }
     return nor_;
   }
@@ -340,60 +340,38 @@ MapResult map_expressions(const std::vector<OutputSpec>& outputs,
   result.inv_count = cover.inv_count;
 
   // Output buffering: resize the driver of each primary output in place.
-  // replace_gate keeps the driver/topology invariants intact.
-  if (options.output_drive > 0 && options.output_drive != options.drive) {
-    const std::string suffix = drive_suffix(options.output_drive);
+  // replace_gate keeps the driver/topology invariants intact. 0 leaves the
+  // outputs alone; any other value must be a drive the library has.
+  if (options.output_drive != 0 && options.output_drive != options.drive) {
     for (const int out : result.netlist.outputs()) {
       const int i = result.netlist.driver_index(out);
       if (i < 0) continue;  // an output fed straight from a primary input
       const auto& gate = result.netlist.gates()[static_cast<std::size_t>(i)];
-      const auto base = liberty::Library::base_name(gate.cell->name);
       Gate resized = gate;
-      resized.cell = &library.find(base + suffix);
+      resized.cell = &library.find(liberty::Library::base_name(gate.cell->name),
+                                   options.output_drive);
       result.netlist.replace_gate(i, std::move(resized));
     }
   }
   return result;
 }
 
-namespace {
-
-// Direct row evaluation instead of TruthTable: tables are capped at
-// logic::kMaxInputs variables and materializing one per output per row was
-// doing exponential work twice over.
-bool eval_expr_row(const logic::Expr& expr, std::uint64_t row) {
-  using logic::Expr;
-  switch (expr.kind()) {
-    case Expr::Kind::kVar:
-      return (row >> expr.var_index()) & 1u;
-    case Expr::Kind::kAnd:
-      for (const auto& c : expr.children()) {
-        if (!eval_expr_row(c, row)) return false;
-      }
-      return true;
-    case Expr::Kind::kOr:
-      for (const auto& c : expr.children()) {
-        if (eval_expr_row(c, row)) return true;
-      }
-      return false;
-    case Expr::Kind::kNot:
-      return !eval_expr_row(expr.children().front(), row);
-  }
-  throw util::Error("unreachable expr kind");
-}
-
-}  // namespace
-
 bool verify_mapping(const MapResult& result,
-                    const std::vector<OutputSpec>& outputs, int num_inputs) {
-  CNFET_REQUIRE(num_inputs <= 16);
-  for (std::uint64_t row = 0; row < (1ull << num_inputs); ++row) {
-    const auto values = result.netlist.simulate(row);
+                    const std::vector<OutputSpec>& outputs) {
+  const GateNetlist& netlist = result.netlist;
+  const std::size_t num_inputs = netlist.inputs().size();
+  const std::size_t num_outputs = netlist.outputs().size();
+  CNFET_REQUIRE(outputs.size() <= num_outputs);
+  const auto patterns = check_patterns(num_inputs);
+  const auto got = netlist.simulate_words(patterns.inputs, patterns.words,
+                                          netlist.outputs());
+  for (std::size_t w = 0; w < patterns.words; ++w) {
+    const std::uint64_t* vars = patterns.inputs.data() + w * num_inputs;
     for (std::size_t o = 0; o < outputs.size(); ++o) {
-      bool want = eval_expr_row(outputs[o].expr, row);
-      if (outputs[o].inverted) want = !want;
-      const int net = result.netlist.outputs()[o];
-      if (values[static_cast<std::size_t>(net)] != want) return false;
+      const std::uint64_t want = outputs[o].expr.eval_word(vars);
+      if (got[w * num_outputs + o] != (outputs[o].inverted ? ~want : want)) {
+        return false;
+      }
     }
   }
   return true;

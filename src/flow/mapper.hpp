@@ -68,10 +68,12 @@ struct MapResult {
     const std::vector<std::string>& input_names,
     const liberty::Library& library, const MapOptions& options = {});
 
-/// Checks the mapped netlist against the specification exhaustively
-/// (up to 2^inputs vectors); returns true when every output matches.
+/// Checks the mapped netlist against the specification on
+/// check_patterns(): primary output o against outputs[o] (evaluated
+/// word-wise) for each spec given. Exhaustive, hence a proof, up to
+/// kExhaustiveInputs inputs; a seeded 4,096-vector sample above. Returns
+/// true when every output matches on every pattern.
 [[nodiscard]] bool verify_mapping(const MapResult& result,
-                                  const std::vector<OutputSpec>& outputs,
-                                  int num_inputs);
+                                  const std::vector<OutputSpec>& outputs);
 
 }  // namespace cnfet::flow

@@ -142,9 +142,9 @@ std::vector<flow::OutputSpec> to_expressions(const flow::GateNetlist& netlist,
 namespace detail {
 
 Builder::Builder(const liberty::Library& library, double drive)
-    : inv_(&library.find("INV" + flow::drive_suffix(drive))),
-      nand_(&library.find("NAND2" + flow::drive_suffix(drive))),
-      nor_(&library.find("NOR2" + flow::drive_suffix(drive))) {}
+    : inv_(&library.find("INV", drive)),
+      nand_(&library.find("NAND2", drive)),
+      nor_(&library.find("NOR2", drive)) {}
 
 int Builder::input(const std::string& name) {
   const int net = netlist_.add_net(name);

@@ -10,7 +10,7 @@
 // seed) produce a byte-identical netlist, gate for gate and name for
 // name. Each Generated carries an independent oracle — big-integer
 // arithmetic for the adders/multiplier, the recorded op list for the
-// random DAG — so a netlist's simulate() can be checked against a
+// random DAG — so a netlist's simulated outputs can be checked against a
 // reference that never saw the netlist construction.
 #pragma once
 

@@ -385,6 +385,23 @@ const LibCell& Library::find(const std::string& name) const {
   return cells_[it->second];
 }
 
+const LibCell& Library::find(const std::string& base, double drive) const {
+  std::ostringstream text;
+  text << drive;
+  if (!(drive > 0 && drive == std::floor(drive))) {
+    throw util::Error("drive " + text.str() + " is not a positive integer");
+  }
+  std::string have;
+  for (const auto& option : drives_of(base)) {
+    if (option.drive == drive) return *option.cell;
+    have += (have.empty() ? "" : ", ") +
+            std::to_string(static_cast<int>(option.drive));
+  }
+  throw util::Error("no such library cell: " + base + "_" + text.str() +
+                    "X (" + base + " drives in the library: " +
+                    (have.empty() ? "none" : have) + ")");
+}
+
 std::string Library::base_name(const std::string& cell_name) {
   const auto pos = cell_name.rfind('_');
   return pos == std::string::npos ? cell_name : cell_name.substr(0, pos);

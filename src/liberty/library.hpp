@@ -205,6 +205,11 @@ class Library {
   }
 
   [[nodiscard]] const LibCell& find(const std::string& name) const;
+  /// The cell of family `base` ("NAND2") at `drive`. Throws util::Error
+  /// when `drive` is not a positive integer, or naming the drives the
+  /// library has for the family when it lacks this one.
+  [[nodiscard]] const LibCell& find(const std::string& base,
+                                    double drive) const;
   [[nodiscard]] const std::vector<LibCell>& cells() const { return cells_; }
   void add(LibCell cell) {
     index_.emplace(cell.name, cells_.size());
@@ -214,7 +219,7 @@ class Library {
 
   /// Every characterized drive of a cell base name ("INV", "NAND2"),
   /// ascending by drive; empty when the base is unknown. The sizing pass
-  /// walks this instead of probing drive_suffix strings.
+  /// walks this instead of probing cell names.
   [[nodiscard]] std::vector<DriveOption> drives_of(
       const std::string& cell_base) const;
 

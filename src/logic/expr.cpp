@@ -95,22 +95,25 @@ Expr Expr::dual() const {
 }
 
 TruthTable Expr::truth(int n) const {
-  CNFET_REQUIRE(n >= num_vars());
+  CNFET_REQUIRE(n >= num_vars() && TruthTable::valid_arity(n));
+  std::uint64_t vars[TruthTable::kMaxInputs] = {};
+  for (int i = 0; i < n; ++i) vars[i] = row_word(i, 0);
+  return {n, eval_word(vars)};
+}
+
+std::uint64_t Expr::eval_word(const std::uint64_t* vars) const {
+  std::uint64_t word = kind_ == Kind::kAnd ? ~0ull : 0;
   switch (kind_) {
     case Kind::kVar:
-      return TruthTable::var(var_, n);
-    case Kind::kAnd: {
-      TruthTable t = TruthTable::constant(true, n);
-      for (const auto& c : children_) t = t & c.truth(n);
-      return t;
-    }
-    case Kind::kOr: {
-      TruthTable t = TruthTable::constant(false, n);
-      for (const auto& c : children_) t = t | c.truth(n);
-      return t;
-    }
+      return vars[var_];
+    case Kind::kAnd:
+      for (const auto& c : children_) word &= c.eval_word(vars);
+      return word;
+    case Kind::kOr:
+      for (const auto& c : children_) word |= c.eval_word(vars);
+      return word;
     case Kind::kNot:
-      return ~children_.front().truth(n);
+      return ~children_.front().eval_word(vars);
   }
   throw util::Error("unreachable expr kind");
 }

@@ -52,6 +52,10 @@ class Expr {
   /// Truth table over n inputs (n >= num_vars()).
   [[nodiscard]] TruthTable truth(int n) const;
 
+  /// Word-parallel evaluation, 64 assignments per call: bit b of the
+  /// result is the expression with variable i set to bit b of vars[i].
+  [[nodiscard]] std::uint64_t eval_word(const std::uint64_t* vars) const;
+
   /// Longest chain of AND-series levels: the transistor stack depth when
   /// realized as a series/parallel network (sizing needs this).
   [[nodiscard]] int stack_depth() const;

@@ -6,17 +6,28 @@ namespace cnfet::logic {
 
 TruthTable TruthTable::var(int i, int n) {
   CNFET_REQUIRE(valid_arity(n) && i >= 0 && i < n);
-  TruthTable t(n);
-  for (std::uint64_t row = 0; row < t.num_rows(); ++row) {
-    if ((row >> i) & 1) t.set(row, true);
-  }
-  return t;
+  return {n, row_word(i, 0)};
 }
 
 TruthTable TruthTable::constant(bool value, int n) {
   TruthTable t(n);
   if (value) t.bits_ = mask(n);
   return t;
+}
+
+std::uint64_t TruthTable::eval_word(const std::uint64_t* in) const {
+  // Shannon expansion one input at a time: after folding input i, cof[j]
+  // is f on the rows whose inputs above i spell j.
+  std::uint64_t cof[1 << kMaxInputs];
+  for (std::uint64_t row = 0; row < num_rows(); ++row) {
+    cof[row] = 0 - ((bits_ >> row) & 1);
+  }
+  for (int i = 0; i < n_; ++i) {
+    for (std::uint64_t j = 0; j < num_rows() >> (i + 1); ++j) {
+      cof[j] = (in[i] & cof[2 * j + 1]) | (~in[i] & cof[2 * j]);
+    }
+  }
+  return cof[0];
 }
 
 int TruthTable::count_ones() const {

@@ -10,6 +10,15 @@
 
 namespace cnfet::logic {
 
+/// Word `w` of input `i` when rows are enumerated in order: bit b is input
+/// i's value in row 64w+b, i.e. bit i of the row index (i < 70).
+[[nodiscard]] constexpr std::uint64_t row_word(int i, std::uint64_t w) {
+  constexpr std::uint64_t kLane[6] = {
+      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  return i < 6 ? kLane[i] : ((w >> (i - 6)) & 1) != 0 ? ~0ull : 0;
+}
+
 /// Value-semantic truth table. Bit r of `bits()` is f(r) where input i of
 /// row r is bit i of r (input 0 is the least significant).
 class TruthTable {
@@ -48,6 +57,11 @@ class TruthTable {
       bits_ &= ~(1ull << row);
     }
   }
+
+  /// Word-parallel evaluation, 64 rows per call: bit b of the result is f
+  /// on the row whose input i is bit b of in[i]. `in` holds num_inputs()
+  /// words.
+  [[nodiscard]] std::uint64_t eval_word(const std::uint64_t* in) const;
 
   [[nodiscard]] bool is_constant() const {
     return bits_ == 0 || bits_ == mask(n_);

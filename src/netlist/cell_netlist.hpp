@@ -68,12 +68,7 @@ struct FunctionalReport {
 [[nodiscard]] inline std::uint64_t conducting_rows(FetType type,
                                                    int gate_input,
                                                    std::uint64_t block) {
-  constexpr std::uint64_t kHigh[6] = {
-      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-  const std::uint64_t high =
-      gate_input < 6 ? kHigh[gate_input]
-                     : 0 - ((block >> (gate_input - 6)) & 1);
+  const std::uint64_t high = logic::row_word(gate_input, block);
   return type == FetType::kN ? high : ~high;
 }
 

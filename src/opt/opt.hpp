@@ -8,9 +8,10 @@
 // sweep pays one cone re-time per candidate instead of a full STA.
 //
 // The passes never change the netlist's function: optimize() snapshots the
-// exhaustive truth table before running and re-checks it after (designs up
-// to 16 inputs), and every accepted edit can be cross-checked against a
-// full graph rebuild with OptOptions::verify_incremental.
+// primary outputs under flow::check_patterns() before running and compares
+// after (every row up to 16 inputs, 4,096 seeded vectors above), and every
+// accepted edit can be cross-checked against a full graph rebuild with
+// OptOptions::verify_incremental.
 #pragma once
 
 #include "flow/gate_netlist.hpp"
@@ -49,9 +50,9 @@ struct PassStats {
   int gates_resized = 0;
   int buffers_inserted = 0;  ///< gates added by buffer insertion
   int gates_removed = 0;     ///< dead/duplicate cleanup
-  /// True when the exhaustive truth-table recheck ran (<= 16 inputs).
-  /// Wider designs skip it; callers should surface that (api::Flow
-  /// downgrades to a warning diagnostic, mirroring map()'s verify).
+  /// True when the function recheck was exhaustive (<= 16 inputs) and
+  /// passed. Wider designs are checked on a seeded sample, which is not a
+  /// proof; api::Flow surfaces that as a warning, mirroring map()'s.
   bool function_verified = false;
   double delay_before = 0.0;  ///< s, worst arrival entering optimize()
   double delay_after = 0.0;   ///< s, worst arrival leaving optimize()
@@ -93,8 +94,9 @@ void insert_buffers(flow::GateNetlist& netlist, sta::TimingGraph& graph,
                     double area_budget, PassStats* stats);
 
 /// The whole pass pipeline: cleanup, sizing, buffering, sizing again
-/// (buffers change loads), with the functional-equivalence recheck.
-/// Throws util::Error if a pass ever changes the netlist's function —
+/// (buffers change loads), with the function recheck (flow::
+/// function_snapshot before and after). Throws util::Error if a pass ever
+/// changes the netlist's function on a checked pattern —
 /// the api:: boundary converts that into a Diagnostic. `final_timing`
 /// (optional) receives the post-optimization sign-off snapshot straight
 /// from the pass-shared graph, saving callers a from-scratch re-analysis.

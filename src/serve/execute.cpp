@@ -212,8 +212,14 @@ json::Value monte_carlo(const Request& request) {
 }
 
 json::Value batch(const Request& request) {
+  const auto& items = request.payload.at("jobs").items();
+  if (items.size() > static_cast<std::size_t>(RequestLimits::kMaxBatchJobs)) {
+    throw util::Error("batch of " + std::to_string(items.size()) +
+                      " jobs exceeds the limit of " +
+                      std::to_string(RequestLimits::kMaxBatchJobs));
+  }
   std::vector<api::FlowJob> jobs;
-  for (const auto& job : request.payload.at("jobs").items()) {
+  for (const auto& job : items) {
     jobs.push_back(api::flow_job_from_json(job));
   }
   api::BatchOptions options;

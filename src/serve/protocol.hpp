@@ -88,6 +88,8 @@ struct RequestLimits {
   /// Gate and primary-input counts of a random DAG.
   static constexpr int kMaxRandomGates = 50'000;
   static constexpr int kMaxRandomInputs = 4096;
+  /// Jobs in one batch request: far above the Table-1 family's count.
+  static constexpr int kMaxBatchJobs = 1024;
 };
 
 enum class RequestKind {

@@ -58,6 +58,18 @@ expect "dead server is 1"     1 -- "$CNFETC" ping --server 127.0.0.1:1
 expect "trials over ceiling"  1 -- "$CNFETC" monte-carlo --cell NAND3 --trials 20000000
 expect "threads over ceiling" 1 -- "$CNFETC" monte-carlo --cell NAND3 --trials 10 --threads 100000
 expect "gen over ceiling"     1 -- "$CNFETC" gen --family rca --width 2000000000 --out /tmp/cli_test_dir.$$
+# A drive the library lacks, or one that is not a positive integer, fails
+# the map stage with its reason (1), never a contract violation.
+expect "drive the library lacks" 1 -- "$CNFETC" compile --cell NAND3 --drive 2 --out /tmp/cli_test_dir.$$
+if ! grep -q "NOR2 drives in the library: 1" /tmp/cli_stdout.$$ /tmp/cli_stderr.$$; then
+  echo "FAIL drive the library lacks: message does not name NOR2's drives"
+  failures=$((failures + 1))
+fi
+expect "fractional drive"     1 -- "$CNFETC" compile --cell NAND2 --drive 1.5 --out /tmp/cli_test_dir.$$
+if ! grep -q "drive 1.5 is not a positive integer" /tmp/cli_stdout.$$ /tmp/cli_stderr.$$; then
+  echo "FAIL fractional drive: message does not say why"
+  failures=$((failures + 1))
+fi
 # A local batch goes through the same engine, so the same thread ceiling.
 expect "jobs for batch"       0 -- "$CNFETC" jobs --out /tmp/cli_jobs.$$.json
 expect "batch threads over ceiling" 1 -- "$CNFETC" batch /tmp/cli_jobs.$$.json --threads 300

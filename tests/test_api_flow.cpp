@@ -127,6 +127,51 @@ TEST(ApiFlow, MissingDriveStrengthFailsAsDiagnostic) {
   EXPECT_NE(mapped.error().message.find("3X"), std::string::npos);
 }
 
+// A drive the library lacks names the family's drives; a drive that is
+// not a positive integer is refused before any cell name is formed.
+TEST(ApiFlow, UnavailableOrFractionalDrivesFailMapWithTheirReason) {
+  const auto map_error = [](const std::string& cell, double drive,
+                            double output_drive) {
+    api::FlowOptions options;
+    options.drive = drive;
+    options.output_drive = output_drive;
+    auto flow = api::Flow::from_cell(cell, options);
+    EXPECT_TRUE(flow.ok());
+    const auto mapped = flow.value().map();
+    EXPECT_FALSE(mapped.ok());
+    EXPECT_EQ(flow.value().stage(), api::Stage::kCreated);
+    return mapped.ok() ? util::Diagnostic{} : mapped.error();
+  };
+  // NAND3 maps through NOR2, which the library has at 1X only.
+  const auto nor = map_error("NAND3", 2.0, 0.0);
+  EXPECT_EQ(nor.stage, "map");
+  EXPECT_EQ(nor.message,
+            "no such library cell: NOR2_2X (NOR2 drives in the library: 1)");
+  const auto nand = map_error("NAND2", 7.0, 0.0);
+  EXPECT_EQ(nand.message,
+            "no such library cell: NAND2_7X (NAND2 drives in the library: "
+            "1, 2, 4)");
+  for (const double bad : {1.5, 0.0, -2.0}) {
+    const auto drive = map_error("NAND2", bad, 0.0);
+    EXPECT_EQ(drive.stage, "map");
+    EXPECT_NE(drive.message.find("is not a positive integer"),
+              std::string::npos)
+        << drive.message;
+  }
+  EXPECT_EQ(map_error("NAND2", 1.0, 1.5).message,
+            "drive 1.5 is not a positive integer");
+  EXPECT_EQ(map_error("NAND2", 1.0, -2.0).message,
+            "drive -2 is not a positive integer");
+  // The drives the library has keep working.
+  for (const char* cell : {"INV", "NAND2"}) {
+    api::FlowOptions options;
+    options.drive = 2.0;
+    auto flow = api::Flow::from_cell(cell, options);
+    ASSERT_TRUE(flow.ok());
+    EXPECT_TRUE(flow.value().map().ok()) << cell;
+  }
+}
+
 TEST(ApiFlow, WriteGdsToBadPathFailsCleanly) {
   auto flow = api::Flow::from_cell("INV");
   ASSERT_TRUE(flow.ok());
@@ -212,6 +257,40 @@ TEST(ApiFlow, DelayCostMappingIsStillVerifiedExhaustively) {
   ASSERT_TRUE(flow.value().run(api::Stage::kTimed).ok());
   EXPECT_TRUE(flow.value().mapped()->verified);
   EXPECT_GT(flow.value().timed()->timing.worst_arrival, 0.0);
+}
+
+// Above 16 inputs map and optimize still check function, on 4,096 seeded
+// vectors: the flow passes with a warning that says so, and `verified` /
+// `function_verified` keep meaning "exhaustive and passed".
+TEST(ApiFlow, WideDesignsAreCheckedOnSeededVectors) {
+  using logic::Expr;
+  std::vector<std::string> inputs;
+  std::vector<Expr> products;
+  for (int i = 0; i < 20; i += 2) {
+    inputs.push_back("I" + std::to_string(i));
+    inputs.push_back("I" + std::to_string(i + 1));
+    products.push_back(Expr::make_and({Expr::var(i), Expr::var(i + 1)}));
+  }
+  api::FlowOptions options;
+  options.optimize = true;
+  auto flow = api::Flow::from_expressions(
+      {{"F", Expr::make_or(products), false}}, inputs, options);
+  ASSERT_TRUE(flow.ok());
+  auto& f = flow.value();
+  ASSERT_TRUE(f.run(api::Stage::kOptimized).ok());
+  EXPECT_FALSE(f.mapped()->verified);
+  EXPECT_FALSE(f.optimized()->stats.function_verified);
+  std::vector<std::string> warnings;
+  for (const auto& d : f.diagnostics().items()) {
+    if (d.severity == util::Severity::kWarning) {
+      warnings.push_back(d.stage + ": " + d.message);
+    }
+  }
+  const std::string note =
+      "function checked on 4096 seeded vectors, not exhaustively (20 > 16 "
+      "inputs)";
+  EXPECT_EQ(warnings, (std::vector<std::string>{
+                          "map: " + note, "optimize: optimized netlist's " + note}));
 }
 
 TEST(ApiFlow, TechFollowsTheSuppliedLibrary) {

@@ -82,7 +82,7 @@ TEST(Mapper, CoversAndVerifiesExpressions) {
     outs.push_back({"fn", logic::parse_expr(text), true});
     const auto mapped = flow::map_expressions(outs, inputs, lib);
     EXPECT_GT(mapped.total_gates(), 0) << text;
-    EXPECT_TRUE(flow::verify_mapping(mapped, outs, 4)) << text;
+    EXPECT_TRUE(flow::verify_mapping(mapped, outs)) << text;
   }
 }
 
@@ -100,16 +100,14 @@ TEST(Mapper, SharesLogicAcrossOutputs) {
 TEST(FullAdder, SimulatesCorrectly) {
   const auto& lib = cnfet_library();
   const auto adder = flow::build_full_adder(lib, {});
-  for (std::uint64_t row = 0; row < 8; ++row) {
-    const auto values = adder.simulate(row);
-    const bool a = row & 1, b = row & 2, cin = row & 4;
-    EXPECT_EQ(values[static_cast<std::size_t>(adder.outputs()[0])],
-              (a != b) != cin)
-        << "sum row " << row;
-    EXPECT_EQ(values[static_cast<std::size_t>(adder.outputs()[1])],
-              (a && b) || (cin && (a != b)))
-        << "carry row " << row;
-  }
+  // Three inputs: one word carries every row (bit r is row r mod 8).
+  const auto rows = flow::check_patterns(3);
+  ASSERT_EQ(rows.words, 1U);
+  const auto out = adder.simulate_words(rows.inputs, 1, adder.outputs());
+  const std::uint64_t a = rows.inputs[0], b = rows.inputs[1],
+                      cin = rows.inputs[2];
+  EXPECT_EQ(out[0], a ^ b ^ cin) << "sum";
+  EXPECT_EQ(out[1], (a & b) | (cin & (a ^ b))) << "carry";
 }
 
 TEST(Sta, ArrivalMonotoneAlongPaths) {

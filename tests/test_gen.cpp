@@ -7,10 +7,15 @@
 
 #include "api/serialize.hpp"
 #include "gen/gen.hpp"
+#include "sim_support.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace cnfet {
 namespace {
+
+using test::po_values;
+using test::row_bits;
 
 const liberty::Library& cnfet_library() {
   static const auto library =
@@ -34,23 +39,6 @@ gen::GenOptions options_for(gen::Family family, int width_or_gates,
 /// Canonical byte form of a netlist for identity comparisons.
 std::string netlist_bytes(const flow::GateNetlist& netlist) {
   return util::json::dump(api::to_json(netlist));
-}
-
-std::vector<bool> row_bits(std::uint64_t row, std::size_t n) {
-  std::vector<bool> bits(n, false);
-  for (std::size_t i = 0; i < n; ++i) bits[i] = (row >> i) & 1u;
-  return bits;
-}
-
-/// simulate() returns every net's value; oracles speak primary outputs.
-std::vector<bool> po_values(const flow::GateNetlist& netlist,
-                            const std::vector<bool>& net_values) {
-  std::vector<bool> out;
-  out.reserve(netlist.outputs().size());
-  for (const int po : netlist.outputs()) {
-    out.push_back(net_values[static_cast<std::size_t>(po)]);
-  }
-  return out;
 }
 
 TEST(GenFamily, NamesRoundTrip) {
@@ -111,9 +99,8 @@ TEST(GenFamily, StructurallyValid) {
     }
     ASSERT_FALSE(netlist.outputs().empty());
 
-    // Acyclic: simulate() forces the topological sort, which throws on a
-    // combinational cycle.
-    EXPECT_NO_THROW((void)netlist.simulate(0));
+    // Acyclic: the topological sort throws on a combinational cycle.
+    EXPECT_NO_THROW((void)netlist.topological_order());
   }
 }
 
@@ -125,7 +112,7 @@ TEST(GenOracle, RippleCarryExhaustiveSmall) {
     const auto n = design.netlist.inputs().size();
     ASSERT_EQ(n, static_cast<std::size_t>(2 * width + 1));
     for (std::uint64_t row = 0; row < (1ull << n); ++row) {
-      EXPECT_EQ(po_values(design.netlist, design.netlist.simulate(row)),
+      EXPECT_EQ(po_values(design.netlist, row_bits(row, n)),
                 design.oracle(row_bits(row, n)))
           << "rca width " << width << " row " << row;
     }
@@ -140,7 +127,7 @@ TEST(GenOracle, CarryLookaheadExhaustiveAcrossBlockBoundary) {
         lib, options_for(gen::Family::kCarryLookaheadAdder, width));
     const auto n = design.netlist.inputs().size();
     for (std::uint64_t row = 0; row < (1ull << n); ++row) {
-      EXPECT_EQ(po_values(design.netlist, design.netlist.simulate(row)),
+      EXPECT_EQ(po_values(design.netlist, row_bits(row, n)),
                 design.oracle(row_bits(row, n)))
           << "cla width " << width << " row " << row;
     }
@@ -157,7 +144,7 @@ TEST(GenOracle, MultiplierExhaustiveSmall) {
     ASSERT_EQ(design.netlist.outputs().size(),
               static_cast<std::size_t>(width == 1 ? 1 : 2 * width));
     for (std::uint64_t row = 0; row < (1ull << n); ++row) {
-      EXPECT_EQ(po_values(design.netlist, design.netlist.simulate(row)),
+      EXPECT_EQ(po_values(design.netlist, row_bits(row, n)),
                 design.oracle(row_bits(row, n)))
           << "mul width " << width << " row " << row;
     }
@@ -171,7 +158,7 @@ TEST(GenOracle, RandomDagExhaustiveSmall) {
   const auto design = gen::generate(lib, options);
   EXPECT_EQ(design.netlist.gates().size(), 40U);
   for (std::uint64_t row = 0; row < 256; ++row) {
-    EXPECT_EQ(po_values(design.netlist, design.netlist.simulate(row)),
+    EXPECT_EQ(po_values(design.netlist, row_bits(row, 8)),
               design.oracle(row_bits(row, 8)))
         << "row " << row;
   }
@@ -188,8 +175,47 @@ TEST(GenOracle, AddersAgreeOnSampledVectors) {
   ASSERT_EQ(n, cla.netlist.inputs().size());
   for (const auto& vec : gen::sample_vectors(n, 64, 7)) {
     const auto expect = rca.oracle(vec);
-    EXPECT_EQ(po_values(rca.netlist, rca.netlist.simulate(vec)), expect);
-    EXPECT_EQ(po_values(cla.netlist, cla.netlist.simulate(vec)), expect);
+    EXPECT_EQ(po_values(rca.netlist, vec), expect);
+    EXPECT_EQ(po_values(cla.netlist, vec), expect);
+  }
+}
+
+// simulate_words against every family's oracle on every lane: 19 words
+// (two full 8-word blocks and a partial one) of seeded patterns, with
+// rca32's 65 inputs past the width of one packed row.
+TEST(GenOracle, SimulateWordsMatchesEveryFamilyOnEveryLane) {
+  const auto& lib = cnfet_library();
+  auto rand = options_for(gen::Family::kRandomDag, 300, 4);
+  rand.num_inputs = 24;
+  for (const auto& options :
+       {options_for(gen::Family::kRippleCarryAdder, 32),
+        options_for(gen::Family::kCarryLookaheadAdder, 9),
+        options_for(gen::Family::kArrayMultiplier, 5), rand}) {
+    const auto design = gen::generate(lib, options);
+    SCOPED_TRACE(design.name);
+    const auto& netlist = design.netlist;
+    const std::size_t n = netlist.inputs().size();
+    const std::size_t outs = netlist.outputs().size();
+    constexpr std::size_t kWords = 19;
+    std::vector<std::uint64_t> in(kWords * n);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = util::derive_stream(99, i);
+    }
+    const auto out = netlist.simulate_words(in, kWords, netlist.outputs());
+    ASSERT_EQ(out.size(), kWords * outs);
+    int mismatches = 0;
+    for (std::size_t w = 0; w < kWords; ++w) {
+      for (unsigned b = 0; b < 64; ++b) {
+        std::vector<bool> vec(n);
+        for (std::size_t i = 0; i < n; ++i) vec[i] = (in[w * n + i] >> b) & 1;
+        std::vector<bool> got(outs);
+        for (std::size_t o = 0; o < outs; ++o) {
+          got[o] = (out[w * outs + o] >> b) & 1;
+        }
+        if (got != design.oracle(vec)) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
   }
 }
 
@@ -211,11 +237,10 @@ TEST(GenToExpressions, MatchesOracleThroughTheMapper) {
     input_names.push_back(design.netlist.net_name(pi));
   }
   const auto mapped = flow::map_expressions(specs, input_names, lib);
-  ASSERT_TRUE(flow::verify_mapping(mapped, specs,
-                                   static_cast<int>(input_names.size())));
+  ASSERT_TRUE(flow::verify_mapping(mapped, specs));
   const auto n = input_names.size();
   for (std::uint64_t row = 0; row < (1ull << n); ++row) {
-    EXPECT_EQ(po_values(mapped.netlist, mapped.netlist.simulate(row)),
+    EXPECT_EQ(po_values(mapped.netlist, row_bits(row, n)),
               design.oracle(row_bits(row, n)))
         << "row " << row;
   }

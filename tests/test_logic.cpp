@@ -4,6 +4,7 @@
 #include "logic/expr.hpp"
 #include "logic/truth_table.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace cnfet::logic {
 namespace {
@@ -52,6 +53,24 @@ TEST(TruthTable, PermutedSwapsRoles) {
   const int perm[] = {1, 0};
   const auto g = f.permuted(perm);
   EXPECT_EQ(g, TruthTable::var(1, 2) & ~TruthTable::var(0, 2));
+}
+
+// With input i on row_word(i, 0), lane r of eval_word is row r mod 2^n:
+// the word-wise evaluator agrees with the table row by row.
+TEST(TruthTable, EvalWordOnRowWordsReadsTheTable) {
+  std::uint64_t in[TruthTable::kMaxInputs];
+  for (int i = 0; i < TruthTable::kMaxInputs; ++i) in[i] = row_word(i, 0);
+  util::Xoshiro256 rng(3);
+  for (int n = 0; n <= TruthTable::kMaxInputs; ++n) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const TruthTable f(n, rng());
+      const std::uint64_t word = f.eval_word(in);
+      for (std::uint64_t r = 0; r < 64; ++r) {
+        EXPECT_EQ(((word >> r) & 1) != 0, f.eval(r % f.num_rows()))
+            << f.to_string() << " row " << r;
+      }
+    }
+  }
 }
 
 TEST(TruthTable, SixInputMaskIsFullWidth) {

@@ -4,15 +4,20 @@
 // label so sanitizer runs can exclude it (-LE scale).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "api/flow.hpp"
 #include "api/serialize.hpp"
 #include "gen/gen.hpp"
 #include "opt/opt.hpp"
+#include "sim_support.hpp"
 #include "sta/timing_graph.hpp"
 #include "util/json.hpp"
 
 namespace cnfet {
 namespace {
+
+using test::po_values;
 
 const liberty::Library& cnfet_library() {
   static const auto library =
@@ -33,14 +38,54 @@ std::string netlist_bytes(const flow::GateNetlist& netlist) {
   return util::json::dump(api::to_json(netlist));
 }
 
-std::vector<bool> po_values(const flow::GateNetlist& netlist,
-                            const std::vector<bool>& net_values) {
-  std::vector<bool> out;
-  out.reserve(netlist.outputs().size());
+/// Two mutants of `netlist` at the first NAND2/NOR2 that drives a primary
+/// output: (a) that gate swapped for its dual, (b) its pin 0 rewired to a
+/// primary input it does not read.
+std::vector<flow::GateNetlist> output_mutants(
+    const flow::GateNetlist& netlist) {
   for (const int po : netlist.outputs()) {
-    out.push_back(net_values[static_cast<std::size_t>(po)]);
+    const int g = netlist.driver_index(po);
+    if (g < 0) continue;
+    const flow::Gate& gate = netlist.gates()[static_cast<std::size_t>(g)];
+    const auto base = liberty::Library::base_name(gate.cell->name);
+    if (base != "NAND2" && base != "NOR2") continue;
+    std::vector<flow::GateNetlist> mutants(2, netlist);
+    mutants[0].resize_gate(
+        g, &cnfet_library().find(base == "NAND2" ? "NOR2" : "NAND2", 1.0));
+    for (const int pi : netlist.inputs()) {
+      if (std::find(gate.inputs.begin(), gate.inputs.end(), pi) ==
+          gate.inputs.end()) {
+        mutants[1].set_gate_input(g, 0, pi);
+        break;
+      }
+    }
+    return mutants;
   }
-  return out;
+  ADD_FAILURE() << "no NAND2/NOR2 drives a primary output";
+  return {};
+}
+
+/// Both checks against one design and its mutants: verify_mapping against
+/// `specs` (primary outputs 0..specs.size()-1) and optimize's
+/// function_snapshot compare. Each mutant is first confirmed to disagree
+/// with the generator's oracle, so it really changes the function.
+void expect_checks_catch_mutants(const gen::Generated& design,
+                                 const std::vector<flow::OutputSpec>& specs) {
+  const auto& netlist = design.netlist;
+  const auto snapshot = flow::function_snapshot(netlist);
+  ASSERT_TRUE(flow::verify_mapping(flow::MapResult{netlist}, specs));
+  const auto vectors = gen::sample_vectors(netlist.inputs().size(), 64, 8);
+  const auto mutants = output_mutants(netlist);
+  ASSERT_EQ(mutants.size(), 2U);
+  for (std::size_t m = 0; m < mutants.size(); ++m) {
+    SCOPED_TRACE(m == 0 ? "dual swap" : "rewired pin");
+    const auto& mutant = mutants[m];
+    ASSERT_TRUE(std::any_of(vectors.begin(), vectors.end(), [&](const auto& vec) {
+      return po_values(mutant, vec) != design.oracle(vec);
+    }));
+    EXPECT_FALSE(flow::verify_mapping(flow::MapResult{mutant}, specs));
+    EXPECT_NE(flow::function_snapshot(mutant), snapshot);
+  }
 }
 
 // --- ScaleTier: fast differential and regression cases -------------------
@@ -65,17 +110,14 @@ TEST(ScaleTier, MapCostObjectivesComputeTheSameFunction) {
       flow::map_expressions(specs, input_names, lib, by_count);
   const auto delay_map =
       flow::map_expressions(specs, input_names, lib, by_delay);
-  const int n = static_cast<int>(input_names.size());
-  ASSERT_TRUE(flow::verify_mapping(count_map, specs, n));
-  ASSERT_TRUE(flow::verify_mapping(delay_map, specs, n));
+  ASSERT_TRUE(flow::verify_mapping(count_map, specs));
+  ASSERT_TRUE(flow::verify_mapping(delay_map, specs));
 
   for (const auto& vec :
        gen::sample_vectors(input_names.size(), 64, 21)) {
     const auto expect = design.oracle(vec);
-    EXPECT_EQ(po_values(count_map.netlist, count_map.netlist.simulate(vec)),
-              expect);
-    EXPECT_EQ(po_values(delay_map.netlist, delay_map.netlist.simulate(vec)),
-              expect);
+    EXPECT_EQ(po_values(count_map.netlist, vec), expect);
+    EXPECT_EQ(po_values(delay_map.netlist, vec), expect);
   }
 }
 
@@ -86,7 +128,7 @@ TEST(ScaleTier, OptimizePreservesFunctionOnSampledVectors) {
       gen::sample_vectors(design.netlist.inputs().size(), 64, 5);
   std::vector<std::vector<bool>> before;
   for (const auto& vec : vectors) {
-    before.push_back(po_values(design.netlist, design.netlist.simulate(vec)));
+    before.push_back(po_values(design.netlist, vec));
   }
 
   opt::OptOptions options;
@@ -94,8 +136,7 @@ TEST(ScaleTier, OptimizePreservesFunctionOnSampledVectors) {
   const auto stats = opt::optimize(design.netlist, lib, options);
   EXPECT_TRUE(stats.function_verified);  // 12 inputs: exhaustive recheck ran
   for (std::size_t i = 0; i < vectors.size(); ++i) {
-    EXPECT_EQ(po_values(design.netlist, design.netlist.simulate(vectors[i])),
-              before[i])
+    EXPECT_EQ(po_values(design.netlist, vectors[i]), before[i])
         << "vector " << i;
   }
 }
@@ -121,19 +162,30 @@ TEST(ScaleTier, ShardedSizingIsBitIdenticalToSerial) {
   EXPECT_EQ(serial_timing.critical_path, sharded_timing.critical_path);
 }
 
-// Regression: simulate(uint64) on a 65-input design used to shift by >= 64
-// (UB); it must refuse, and the vector form must carry on.
-TEST(ScaleTier, PackedSimulateRefusesBeyond64Inputs) {
+// The one function check catches a dual swap and a rewired pin at a
+// primary-output driver, exhaustively at 16 inputs and on the seeded
+// sample at 64 (the rca1112 case is in Scale10k).
+TEST(ScaleTier, FunctionChecksCatchOutputMutantsAt16And64Inputs) {
+  for (const int inputs : {16, 64}) {
+    SCOPED_TRACE(std::to_string(inputs) + " inputs");
+    const auto design = random_dag(200, inputs, 3);
+    ASSERT_EQ(design.netlist.inputs().size(),
+              static_cast<std::size_t>(inputs));
+    expect_checks_catch_mutants(design, gen::to_expressions(design.netlist));
+  }
+}
+
+// Regression: a packed-row simulate on a 65-input design used to shift by
+// >= 64 (UB); the vector form carries on past 64 inputs.
+TEST(ScaleTier, VectorSimulateCarriesBeyond64Inputs) {
   const auto& lib = cnfet_library();
   gen::GenOptions options;
   options.family = gen::Family::kRippleCarryAdder;
   options.width = 32;  // 65 primary inputs: A, B and CIN
   const auto design = gen::generate(lib, options);
   ASSERT_EQ(design.netlist.inputs().size(), 65U);
-  EXPECT_THROW((void)design.netlist.simulate(std::uint64_t{0}), util::Error);
   for (const auto& vec : gen::sample_vectors(65, 8, 6)) {
-    EXPECT_EQ(po_values(design.netlist, design.netlist.simulate(vec)),
-              design.oracle(vec));
+    EXPECT_EQ(po_values(design.netlist, vec), design.oracle(vec));
   }
 }
 
@@ -181,6 +233,23 @@ TEST(Scale10k, FullFlowExportsDrcClean) {
   EXPECT_TRUE(flow.signed_off()->clean());
   ASSERT_NE(flow.exported(), nullptr);
   EXPECT_GT(flow.placed()->placement.placed_area_lambda2, 0.0);
+}
+
+// rca1112's 2,225 inputs: only the checks run (no optimize at this size).
+// Its carry chain has no tree-sized Expr, so verify_mapping's spec is S0,
+// the primary output the mutated gate drives: A0 ^ B0 ^ CIN.
+TEST(Scale10k, FunctionChecksCatchOutputMutantsAt2225Inputs) {
+  gen::GenOptions options;
+  options.width = 1112;
+  const auto design = gen::generate(cnfet_library(), options);
+  ASSERT_EQ(design.netlist.inputs().size(), 2225U);
+  using logic::Expr;
+  const auto xor2 = [](const Expr& a, const Expr& b) {
+    return Expr::make_or({Expr::make_and({a, Expr::make_not(b)}),
+                          Expr::make_and({Expr::make_not(a), b})});
+  };
+  const Expr s0 = xor2(xor2(Expr::var(0), Expr::var(1112)), Expr::var(2224));
+  expect_checks_catch_mutants(design, {{"S0", s0, false}});
 }
 
 TEST(Scale10k, IncrementalRetimeMatchesFullRebuild) {

@@ -20,6 +20,7 @@
 
 #include "api/serialize.hpp"
 #include "gds/gds.hpp"
+#include "sim_support.hpp"
 #include "util/json.hpp"
 
 namespace cnfet {
@@ -205,7 +206,8 @@ TEST(Serialize, GateNetlistRoundTripsAgainstTheLibrary) {
     EXPECT_EQ(back.gates()[i].cell, adder.gates()[i].cell);  // same LibCell*
   }
   for (std::uint64_t row = 0; row < 8; ++row) {
-    EXPECT_EQ(back.simulate(row), adder.simulate(row)) << row;
+    const auto inputs = test::row_bits(row, 3);
+    EXPECT_EQ(back.simulate(inputs), adder.simulate(inputs)) << row;
   }
 }
 

@@ -586,6 +586,41 @@ TEST(ServeExecute, MonteCarloSeedsAboveTwoTo53TravelAsDecimalStrings) {
   }
 }
 
+TEST(ServeExecute, BatchJobCountIsCappedBeforeAnyJobIsBuilt) {
+  const auto batch_of = [](std::size_t count, const json::Value& job) {
+    json::Value jobs = json::Value::array();
+    for (std::size_t i = 0; i < count; ++i) jobs.push_back(job);
+    json::Value request = serve::make_request(serve::RequestKind::kBatch);
+    request.set("jobs", std::move(jobs));
+    return request;
+  };
+  // One job past the ceiling: refused, naming it, and no job runs (the
+  // response carries no report).
+  api::FlowJob trivial;
+  trivial.cell = "INV";
+  trivial.target = api::Stage::kCreated;
+  const auto limit =
+      static_cast<std::size_t>(serve::RequestLimits::kMaxBatchJobs);
+  const json::Value refused =
+      execute_locally(batch_of(limit + 1, api::to_json(trivial)));
+  EXPECT_FALSE(refused.get_bool("ok"));
+  EXPECT_NE(diagnostics_of(refused).find(
+                "batch of 1025 jobs exceeds the limit of " +
+                std::to_string(limit)),
+            std::string::npos)
+      << diagnostics_of(refused);
+  const json::Value* result = refused.find("result");
+  EXPECT_TRUE(result == nullptr || result->find("report") == nullptr);
+  // At the ceiling the count is admitted: malformed jobs then fail to
+  // parse, so the check passes without running 1,024 flows.
+  const json::Value at_limit =
+      execute_locally(batch_of(limit, json::Value::object()));
+  EXPECT_FALSE(at_limit.get_bool("ok"));
+  EXPECT_EQ(diagnostics_of(at_limit).find("exceeds the limit"),
+            std::string::npos)
+      << diagnostics_of(at_limit);
+}
+
 TEST_F(ServeTest, GenNamesTheTopAfterTheDesignUnlessTopNamesAnother) {
   const int port = start();
   auto c = client(port);
