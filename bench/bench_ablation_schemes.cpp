@@ -7,9 +7,8 @@
 //      margin breaks immunity even for Euler layouts.
 #include <cstdio>
 
+#include "paper_claims.hpp"
 #include "api/flow.hpp"
-#include "cnt/analyzer.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -33,23 +32,10 @@ flow::GateNetlist inverter_mix(const liberty::Library& lib,
   return nl;
 }
 
-/// Runs a netlist through the pipeline to Placed under one scheme. The
-/// whole Flow is returned because the placement's instances point into the
-/// flow-owned netlist.
-api::Flow place_mix(const api::LibraryHandle& library,
-                    const flow::GateNetlist& netlist,
-                    layout::CellScheme scheme) {
-  api::FlowOptions options;
-  options.library = library;
-  options.place.scheme = scheme;
-  auto flow = api::Flow::from_netlist(netlist, options);
-  (void)flow.value().run(api::Stage::kPlaced).value();
-  return std::move(flow).value();
-}
-
 }  // namespace
 
 int main() {
+  bench::ClaimCheck claims("ablation");
   std::printf("== E7 / ablations: schemes, isolation styles, overhang ==\n\n");
 
   // (a) Height standardization loss.
@@ -65,12 +51,15 @@ int main() {
       {"1X..4X", {1.0, 2.0, 4.0}},
       {"1X..9X", {1.0, 2.0, 4.0, 9.0}},
   };
+  bool scheme2_recovers = true;
   for (const auto& [name, drives] : mixes) {
     const auto nl = inverter_mix(lib, drives, 6);
-    const auto f1 = place_mix(lib_handle, nl, layout::CellScheme::kScheme1);
-    const auto f2 = place_mix(lib_handle, nl, layout::CellScheme::kScheme2);
+    const auto f1 = bench::place(lib_handle, nl, layout::CellScheme::kScheme1);
+    const auto f2 = bench::place(lib_handle, nl, layout::CellScheme::kScheme2);
     const auto& p1 = f1.placed()->placement;
     const auto& p2 = f2.placed()->placement;
+    scheme2_recovers = scheme2_recovers &&
+                       p2.placed_area_lambda2 <= p1.placed_area_lambda2;
     t.add_row({name, util::fmt_fixed(p1.placed_area_lambda2, 0),
                util::fmt_fixed(p2.placed_area_lambda2, 0),
                util::fmt_ratio(p1.placed_area_lambda2 /
@@ -80,11 +69,13 @@ int main() {
                util::fmt_percent(p2.utilization(), 1)});
   }
   std::printf("%s\n", t.to_string().c_str());
+  claims.measure_holds("ablation.scheme2_recovers", scheme2_recovers);
 
   // (b) Isolation style ladder.
   std::printf("(b) PUN active area by isolation style (4 lambda)\n");
   util::TextTable lt({"cell", "etched-fets", "etched-branches[6]",
                       "compact-euler", "euler vs fets"});
+  bool euler_smallest = true;
   for (const char* name : {"NAND3", "AOI21", "AOI22", "AOI31"}) {
     const auto pun_area = [&](layout::LayoutStyle style) {
       return layout::build_cell(layout::find_cell_spec(name), {.style = style})
@@ -94,17 +85,20 @@ int main() {
     const auto a = pun_area(layout::LayoutStyle::kEtchedIsolatedFets);
     const auto b = pun_area(layout::LayoutStyle::kEtchedIsolatedBranches);
     const auto c = pun_area(layout::LayoutStyle::kCompactEuler);
+    euler_smallest = euler_smallest && c < a && c < b;
     lt.add_row({name, util::fmt_fixed(a, 0), util::fmt_fixed(b, 0),
                 util::fmt_fixed(c, 0),
                 util::fmt_percent((a - c) / a, 1)});
   }
   std::printf("%s\n", lt.to_string().c_str());
+  claims.measure_holds("ablation.euler_smallest", euler_smallest);
 
   // (c) Overhang necessity: the gate stripe must cover the whole CNT band
   // (strip + etch registration margin). Gate vertical extension beyond the
   // drawn strip is margin + overhang; once it shrinks below the margin the
   // band peeks out past the gate ends and tubes can slip around them.
   std::printf("(c) gate extension below the CNT-band margin breaks immunity\n");
+  bool overhang_needed = true;
   {
     const auto spec = layout::find_cell_spec("NAND3");
     const auto pdn_expr = logic::parse_expr(spec.pdn_expr);
@@ -118,10 +112,14 @@ int main() {
       const layout::CellLayout lay("NAND3", cell, plan, rules,
                                    layout::CellScheme::kScheme1);
       const auto report = cnt::check_exact(lay, cell, function);
+      // Immune exactly when the gate reaches past the band margin.
+      overhang_needed = overhang_needed &&
+                        report.immune == (overhang >= 0.0);
       std::printf("  gate extension %.1fl vs margin %.1fl: %s\n",
                   rules.cnt_margin + overhang, rules.cnt_margin,
                   report.immune ? "immune" : "VULNERABLE");
     }
   }
-  return 0;
+  claims.measure_holds("ablation.overhang_needed", overhang_needed);
+  return claims.report();
 }

@@ -10,15 +10,14 @@
 // tracer): the naive-layout yield estimates carry ~10x tighter
 // confidence intervals, at a few seconds for the whole table.
 #include <cstdio>
+#include <string_view>
 
-#include "cnt/analyzer.hpp"
-#include "layout/cells.hpp"
-#include "util/table.hpp"
+#include "paper_claims.hpp"
 
 int main() {
   using cnfet::layout::LayoutStyle;
   using namespace cnfet;
-
+  bench::ClaimCheck claims("fig2");
   std::printf("== E2 / Figure 2: misaligned-CNT immunity ==\n\n");
 
   util::TextTable t({"Cell", "layout", "exact proof", "hard shorts",
@@ -40,6 +39,7 @@ int main() {
       {"AOI22", LayoutStyle::kCompactEuler},
   };
 
+  bool immune_layouts = true;
   for (const auto& c : cases) {
     const auto built =
         layout::build_cell(layout::find_cell_spec(c.cell), {.style = c.style});
@@ -48,6 +48,14 @@ int main() {
     const auto mc =
         cnt::monte_carlo(built.layout, built.netlist, built.function,
                          cnt::TubeModel{}, 100'000, 2024, /*num_threads=*/0);
+    const bool immune = exact.immune && mc.yield() == 1.0;
+    if (c.style == LayoutStyle::kNaiveVulnerable) {
+      if (std::string_view(c.cell) == "INV") {
+        claims.measure_holds("fig2.inv_immune_naive", immune);
+      }
+    } else {
+      immune_layouts = immune_layouts && immune;
+    }
     t.add_row({c.cell, layout::to_string(c.style),
                exact.immune ? "IMMUNE" : "VULNERABLE",
                std::to_string(exact.short_pairs),
@@ -56,6 +64,7 @@ int main() {
                std::to_string(mc.stray_chains)});
   }
   std::printf("%s\n", t.to_string().c_str());
+  claims.measure_holds("fig2.immune_layouts", immune_layouts);
 
   // The explicit Figure-2(b) tube: a fully doped straight tube crossing the
   // naive NAND2 PUN, shorting VDD to OUT.
@@ -68,11 +77,17 @@ int main() {
   const auto effects = cnt::trace_tube(
       geo, {{band.rect.lo().x - 10.0, y}, {band.rect.hi().x + 10.0, y}});
   std::printf("Figure 2(b) tube across the naive NAND2 PUN produces:\n");
+  bool hard_short = false;
   for (const auto& e : effects) {
+    const bool shorts = e.is_short() && e.a != e.b;
+    hard_short = hard_short || shorts;
     std::printf("  %s-%s via %zu gate(s)%s\n",
                 naive.netlist.net_name(e.a).c_str(),
                 naive.netlist.net_name(e.b).c_str(), e.chain.size(),
-                e.is_short() && e.a != e.b ? "  <-- HARD SHORT" : "");
+                shorts ? "  <-- HARD SHORT" : "");
   }
-  return 0;
+  const bool vulnerable =
+      !cnt::check_exact(naive.layout, naive.netlist, naive.function).immune;
+  claims.measure_holds("fig2.naive_nand2_shorts", vulnerable && hard_short);
+  return claims.report();
 }

@@ -66,8 +66,9 @@ struct FlowOptions {
   double drive = 1.0;
   /// Optional stronger drive for gates driving primary outputs (0 = same).
   double output_drive = 0.0;
-  /// Exhaustively verify the mapping against the specification (<= 16
-  /// inputs; wider designs downgrade to a warning diagnostic).
+  /// Check the mapping against the specification: every row up to 16
+  /// inputs, 4,096 seeded vectors above (flow::check_patterns). A mismatch
+  /// fails map; a sampled pass leaves `verified` false with a warning.
   bool verify = true;
   /// Covering objective for map(): gate count (the paper-reproduction
   /// default) or NLDM-estimated delay (flow::MapCost::kDelay).
@@ -255,7 +256,6 @@ class Flow {
   [[nodiscard]] const FlowOptions& options() const { return options_; }
   [[nodiscard]] const util::Diagnostics& diagnostics() const { return diags_; }
   [[nodiscard]] const liberty::Library& library() const { return *library_; }
-  [[nodiscard]] LibraryHandle library_handle() const { return library_; }
 
   /// Stage advances. Each requires exactly the preceding stage, returns the
   /// reached stage, and never throws: failures come back as the Result's

@@ -1148,12 +1148,26 @@ util::Result<Flow> Flow::resume_json(const json::Value& payload,
       if (flow.mapped_) read.netlist = &flow.mapped_->map.netlist;
     });
     if (flow.routed_) {
-      if (!flow.mapped_) {
-        throw util::Error("routed artifact without a mapped netlist");
+      if (!flow.mapped_ || !flow.placed_) {
+        throw util::Error("routed artifact without a netlist and placement");
       }
-      flow.routed_->extraction = route::extract(
-          flow.mapped_->map.netlist, flow.routed_->routing,
-          flow.library_->cells().front().built.layout.rules());
+      // route::extract walks every wire in pitch steps across the stored
+      // grid: refuse a pitch or grid route::route would not have built.
+      const auto& rules = flow.library_->cells().front().built.layout.rules();
+      const auto& routing = flow.routed_->routing;
+      const auto& netlist = flow.mapped_->map.netlist;
+      if (routing.pitch != rules.db(rules.route_pitch)) {
+        throw util::Error("routing pitch " + std::to_string(routing.pitch) +
+                          " is not the rules' route pitch " +
+                          std::to_string(rules.db(rules.route_pitch)));
+      }
+      if (!route::max_grid_bbox(flow.placed_->placement.bbox, routing.pitch,
+                                netlist.num_nets())
+               .contains(routing.grid_bbox)) {
+        throw util::Error(
+            "routing grid is larger than the router builds for the placement");
+      }
+      flow.routed_->extraction = route::extract(netlist, routing, rules);
     }
     if (flow.stage_ == Stage::kExported) {
       if (!flow.placed_) {

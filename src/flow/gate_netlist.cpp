@@ -202,17 +202,6 @@ int GateNetlist::driver_index(int net) const {
   return driver_of_[static_cast<std::size_t>(net)];
 }
 
-std::vector<const Gate*> GateNetlist::sinks(int net) const {
-  std::vector<const Gate*> out;
-  int last = -1;
-  for (const auto& [g, pin] : fanout(net)) {
-    if (g == last) continue;  // list one entry per gate, like the pre-cache scan
-    out.push_back(&gates_[static_cast<std::size_t>(g)]);
-    last = g;
-  }
-  return out;
-}
-
 const std::vector<std::pair<int, int>>& GateNetlist::fanout(int net) const {
   CNFET_REQUIRE(net >= 0 && net < num_nets());
   ensure_adjacency();

@@ -77,8 +77,6 @@ class GateNetlist {
   [[nodiscard]] const Gate* driver(int net) const;
   /// Index of the driving gate, or -1 for primary inputs / undriven nets.
   [[nodiscard]] int driver_index(int net) const;
-  /// Gates reading a net (each gate listed once, even multi-pin readers).
-  [[nodiscard]] std::vector<const Gate*> sinks(int net) const;
   /// Every (gate index, pin) pair reading `net`, ascending by gate then
   /// pin — the canonical order net_load() sums in.
   [[nodiscard]] const std::vector<std::pair<int, int>>& fanout(int net) const;

@@ -394,10 +394,4 @@ Library read(std::istream& in) {
   throw util::Error("GDS stream ended without ENDLIB");
 }
 
-Library read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw util::Error("cannot open for read: " + path);
-  return read(in);
-}
-
 }  // namespace cnfet::gds

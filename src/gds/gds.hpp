@@ -68,6 +68,5 @@ void write_file(const Library& lib, const std::string& path);
 /// unknown records are skipped, so third-party files with only the
 /// element types above also load).
 [[nodiscard]] Library read(std::istream& in);
-[[nodiscard]] Library read_file(const std::string& path);
 
 }  // namespace cnfet::gds

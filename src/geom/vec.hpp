@@ -41,9 +41,6 @@ struct DVec2 {
   friend constexpr DVec2 operator*(DVec2 a, double k) {
     return {a.x * k, a.y * k};
   }
-  friend constexpr double dot(DVec2 a, DVec2 b) {
-    return a.x * b.x + a.y * b.y;
-  }
   friend constexpr double cross(DVec2 a, DVec2 b) {
     return a.x * b.y - a.y * b.x;
   }

@@ -67,7 +67,6 @@ class CellLayout {
   [[nodiscard]] const StripGeometry& pun() const { return pun_; }
   [[nodiscard]] const StripGeometry& pdn() const { return pdn_; }
   [[nodiscard]] const std::vector<Pin>& pins() const { return pins_; }
-  [[nodiscard]] const PlanePlan& plan() const { return plan_; }
 
   /// Core extent (strips + gaps, the quantity the paper's area ratios use;
   /// boundary margins excluded so INV ratios come out as stated in

@@ -131,18 +131,6 @@ StripGeometry build_strip(const PlaneSeq& seq, netlist::FetType doping,
   return g;
 }
 
-int gate_count(const PlaneSeq& seq) {
-  return static_cast<int>(std::count_if(
-      seq.begin(), seq.end(),
-      [](const PlaneElement& e) { return e.kind == ElementKind::kGate; }));
-}
-
-int contact_count(const PlaneSeq& seq) {
-  return static_cast<int>(std::count_if(
-      seq.begin(), seq.end(),
-      [](const PlaneElement& e) { return e.kind == ElementKind::kContact; }));
-}
-
 int etch_count(const PlaneSeq& seq) {
   return static_cast<int>(std::count_if(
       seq.begin(), seq.end(),

@@ -89,10 +89,6 @@ struct StripGeometry {
 [[nodiscard]] std::vector<geom::Coord> align_gate_positions(
     const PlaneSeq& a, const PlaneSeq& b, const DesignRules& rules);
 
-/// Number of gates in a sequence.
-[[nodiscard]] int gate_count(const PlaneSeq& seq);
-/// Number of contacts in a sequence.
-[[nodiscard]] int contact_count(const PlaneSeq& seq);
 /// Number of etched slots in a sequence.
 [[nodiscard]] int etch_count(const PlaneSeq& seq);
 

@@ -44,27 +44,6 @@ bool TruthTable::depends_on(int i) const {
   return false;
 }
 
-TruthTable TruthTable::extended(int n) const {
-  CNFET_REQUIRE(valid_arity(n) && n >= n_);
-  TruthTable t(n);
-  for (std::uint64_t row = 0; row < t.num_rows(); ++row) {
-    t.set(row, eval(row & (num_rows() - 1)));
-  }
-  return t;
-}
-
-TruthTable TruthTable::permuted(const int* perm) const {
-  TruthTable t(n_);
-  for (std::uint64_t row = 0; row < num_rows(); ++row) {
-    std::uint64_t src = 0;
-    for (int j = 0; j < n_; ++j) {
-      if ((row >> j) & 1) src |= (1ull << perm[j]);
-    }
-    t.set(row, eval(src));
-  }
-  return t;
-}
-
 std::string TruthTable::to_string() const {
   std::string s;
   s.reserve(num_rows());

@@ -73,14 +73,6 @@ class TruthTable {
   /// True when the function actually depends on input i.
   [[nodiscard]] bool depends_on(int i) const;
 
-  /// Same function expressed over `n` inputs (n >= num_inputs()); the added
-  /// variables are don't-cares the function ignores.
-  [[nodiscard]] TruthTable extended(int n) const;
-
-  /// Function with inputs reordered: new input j takes the role of old
-  /// input perm[j]. perm must be a permutation of [0, num_inputs()).
-  [[nodiscard]] TruthTable permuted(const int* perm) const;
-
   friend TruthTable operator~(TruthTable a) {
     return {a.n_, ~a.bits_ & mask(a.n_)};
   }

@@ -41,6 +41,38 @@ struct Grid {
   }
 };
 
+/// The router's sizing rule: the placement bbox plus a 4-pitch margin,
+/// grown evenly on both sides to carry `crossings_x` nets across every
+/// vertical cut and `crossings_y` across every horizontal one, with 2x
+/// congestion slack (greedy one-net-at-a-time BFS fragments the channel,
+/// so the fabric needs real headroom over the crossing lower bound). More
+/// crossings never shrink the grid, so the grid sized for every net
+/// crossing every cut holds the grid of any placement of those nets.
+/// Counts are Coord: max_grid_bbox applies the rule to a stored
+/// placement's bbox, whose JSON integers stay within 2^53.
+struct GridSize {
+  geom::Vec2 lo;
+  geom::Coord nx = 0, ny = 0;
+};
+GridSize size_grid(const geom::Rect& bbox, geom::Coord pitch,
+                   geom::Coord crossings_x, geom::Coord crossings_y) {
+  const geom::Coord margin = pitch * 4;
+  GridSize g;
+  g.nx = (bbox.width() + 2 * margin) / pitch + 1;
+  g.ny = (bbox.height() + 2 * margin) / pitch + 1;
+  const auto extra_x = std::max<geom::Coord>(0, crossings_y * 2 + 16 - g.nx);
+  const auto extra_y = std::max<geom::Coord>(0, crossings_x * 2 + 16 - g.ny);
+  g.nx += extra_x;
+  g.ny += extra_y;
+  g.lo = {bbox.lo().x - margin - pitch * (extra_x / 2),
+          bbox.lo().y - margin - pitch * (extra_y / 2)};
+  return g;
+}
+
+geom::Rect grid_rect(const GridSize& g, geom::Coord pitch) {
+  return {g.lo, {g.lo.x + pitch * (g.nx - 1), g.lo.y + pitch * (g.ny - 1)}};
+}
+
 /// Search window in grid coordinates (inclusive).
 struct Window {
   int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
@@ -179,31 +211,15 @@ RoutingResult route(const flow::GateNetlist& netlist,
     }
     return worst;
   };
-  // 2x congestion slack: greedy one-net-at-a-time BFS fragments the
-  // channel (there is no rip-up), so the fabric needs real headroom over
-  // the crossing lower bound.
-  const int need_ny = max_crossing(x_spans) * 2 + 16;
-  const int need_nx = max_crossing(y_spans) * 2 + 16;
-
-  const geom::Coord margin = grid.pitch * 4;
-  grid.nx = static_cast<int>((placement.bbox.width() + 2 * margin) /
-                             grid.pitch) + 1;
-  grid.ny = static_cast<int>((placement.bbox.height() + 2 * margin) /
-                             grid.pitch) + 1;
-  const int extra_x = std::max(0, need_nx - grid.nx);
-  const int extra_y = std::max(0, need_ny - grid.ny);
-  grid.nx += extra_x;
-  grid.ny += extra_y;
-  // Extra capacity splits evenly around the placement so detours stay
-  // short on both sides.
-  grid.lo = {placement.bbox.lo().x - margin - grid.pitch * (extra_x / 2),
-             placement.bbox.lo().y - margin - grid.pitch * (extra_y / 2)};
+  const auto size = size_grid(placement.bbox, grid.pitch,
+                              max_crossing(x_spans), max_crossing(y_spans));
+  grid.lo = size.lo;
+  grid.nx = static_cast<int>(size.nx);
+  grid.ny = static_cast<int>(size.ny);
 
   RoutingResult result;
   result.pitch = grid.pitch;
-  result.grid_bbox =
-      geom::Rect(grid.lo, {grid.lo.x + grid.pitch * (grid.nx - 1),
-                           grid.lo.y + grid.pitch * (grid.ny - 1)});
+  result.grid_bbox = grid_rect(size, grid.pitch);
 
   // occ: net id + 1 claiming a node (0 = free). Terminal nodes are
   // reserved for every net up front — in ascending net order, probing
@@ -649,6 +665,11 @@ struct IndexedShape {
 };
 
 }  // namespace
+
+geom::Rect max_grid_bbox(const geom::Rect& placement_bbox, geom::Coord pitch,
+                         int nets) {
+  return grid_rect(size_grid(placement_bbox, pitch, nets, nets), pitch);
+}
 
 VerifyReport verify(const flow::GateNetlist& netlist,
                     const flow::PlacementResult& placement,

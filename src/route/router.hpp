@@ -95,6 +95,13 @@ struct RouteOptions {
                                   const layout::DesignRules& rules,
                                   const RouteOptions& options = {});
 
+/// The largest grid route() builds at `pitch` for a placement with this
+/// bbox and `nets` nets: its sizing rule with every net crossing every cut.
+/// A stored routing whose grid_bbox this does not contain did not come
+/// from route().
+[[nodiscard]] geom::Rect max_grid_bbox(const geom::Rect& placement_bbox,
+                                       geom::Coord pitch, int nets);
+
 /// Independent open/short oracle over a RoutingResult — used by the tests
 /// and the bench's connectivity gate, sharing no state with the router:
 /// connectivity is re-derived by union-find over the drawn shapes

@@ -367,11 +367,6 @@ double TimingGraph::load(int net) {
   return load_[static_cast<std::size_t>(net)];
 }
 
-int TimingGraph::level(int net) {
-  retime();
-  return level_[static_cast<std::size_t>(net)];
-}
-
 double TimingGraph::worst_arrival() {
   retime();
   return worst_arrival_;

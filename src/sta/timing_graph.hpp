@@ -80,7 +80,6 @@ class TimingGraph {
   [[nodiscard]] double required(int net);
   [[nodiscard]] double slack(int net);
   [[nodiscard]] double load(int net);
-  [[nodiscard]] int level(int net);
 
   [[nodiscard]] double worst_arrival();
   [[nodiscard]] int critical_output();
@@ -105,7 +104,6 @@ class TimingGraph {
   [[nodiscard]] const TimingStats& stats() const { return stats_; }
   [[nodiscard]] const flow::GateNetlist& netlist() const { return *netlist_; }
   [[nodiscard]] const StaOptions& options() const { return options_; }
-  [[nodiscard]] const WireLoads& wires() const { return wires_; }
 
  private:
   void grow_to_netlist();

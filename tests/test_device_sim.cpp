@@ -140,37 +140,5 @@ TEST(Fo4, CmosBaselineInSaneRange) {
   EXPECT_LT(r.energy_per_cycle_j, 5e-15);
 }
 
-TEST(Fo4, SingleTubeAnchorsMatchPaper) {
-  const auto cmos = measure_fo4(device::cmos_inverter());
-  const auto one = measure_fo4(device::cnfet_inverter(1));
-  const double delay_gain = cmos.delay_s / one.delay_s;
-  const double energy_gain = cmos.energy_per_cycle_j / one.energy_per_cycle_j;
-  // Paper: ~2.75x faster, ~6.3x lower energy for a single-tube inverter.
-  EXPECT_NEAR(delay_gain, 2.75, 0.30);
-  EXPECT_NEAR(energy_gain, 6.3, 0.70);
-}
-
-TEST(Fo4, OptimumPitchNearFiveNanometres) {
-  const auto cmos = measure_fo4(device::cmos_inverter());
-  double best_gain = 0.0;
-  int best_n = 1;
-  for (int n = 1; n <= 24; ++n) {
-    const auto r = measure_fo4(device::cnfet_inverter(n));
-    const double gain = cmos.delay_s / r.delay_s;
-    if (gain > best_gain) {
-      best_gain = gain;
-      best_n = n;
-    }
-  }
-  const double pitch = device::cnt_pitch_nm(best_n, 65.0);
-  // Paper: optimum at ~5nm (optimal range 4.5-5.5nm), 4.2x delay gain and
-  // ~2x energy gain at the optimum.
-  EXPECT_GT(pitch, 4.0);
-  EXPECT_LT(pitch, 6.5);
-  EXPECT_NEAR(best_gain, 4.2, 0.45);
-  const auto opt = measure_fo4(device::cnfet_inverter(best_n));
-  EXPECT_NEAR(cmos.energy_per_cycle_j / opt.energy_per_cycle_j, 2.0, 0.45);
-}
-
 }  // namespace
 }  // namespace cnfet::sim

@@ -113,14 +113,12 @@ TEST(CellLayout, InverterCoreMatchesCaseStudy1Bookkeeping) {
   // CNFET inverter, W = 4l: core height = 4 + 6 + 4 = 14l.
   const auto cnfet = build_cell(find_cell_spec("INV"));
   EXPECT_DOUBLE_EQ(cnfet.layout.core_height_lambda(), 14.0);
-  // CMOS inverter: 4 (n) + 10 + 5.6 (p = 1.4x) = 19.6l -> 1.4x area gain.
+  // CMOS inverter: 4 (n) + 10 + 5.6 (p = 1.4x) = 19.6l. The area gain this
+  // gives is the ledger's claim fig7.inverter_area_gain.
   CellBuildOptions cmos_options;
   cmos_options.tech = Tech::kCmos65;
   const auto cmos = build_cell(find_cell_spec("INV"), cmos_options);
   EXPECT_DOUBLE_EQ(cmos.layout.core_height_lambda(), 19.6);
-  EXPECT_NEAR(cmos.layout.core_height_lambda() /
-                  cnfet.layout.core_height_lambda(),
-              1.4, 1e-9);
 }
 
 TEST(CellLayout, Scheme2ShrinksHeight) {

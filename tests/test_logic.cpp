@@ -39,22 +39,6 @@ TEST(TruthTable, DependsOn) {
   EXPECT_TRUE(f.depends_on(2));
 }
 
-TEST(TruthTable, ExtendedKeepsFunction) {
-  const auto f = TruthTable::var(0, 2) & TruthTable::var(1, 2);
-  const auto g = f.extended(4);
-  for (std::uint64_t row = 0; row < 16; ++row) {
-    EXPECT_EQ(g.eval(row), ((row & 1) != 0) && ((row & 2) != 0));
-  }
-}
-
-TEST(TruthTable, PermutedSwapsRoles) {
-  // f(x0,x1) = x0 AND NOT x1 -> permute inputs -> x1 AND NOT x0.
-  const auto f = TruthTable::var(0, 2) & ~TruthTable::var(1, 2);
-  const int perm[] = {1, 0};
-  const auto g = f.permuted(perm);
-  EXPECT_EQ(g, TruthTable::var(1, 2) & ~TruthTable::var(0, 2));
-}
-
 // With input i on row_word(i, 0), lane r of eval_word is row r mod 2^n:
 // the word-wise evaluator agrees with the table row by row.
 TEST(TruthTable, EvalWordOnRowWordsReadsTheTable) {

@@ -783,6 +783,66 @@ TEST_F(ServeTest, HostileStoredRoutingIsRefusedNotCrashedOn) {
   }
 }
 
+TEST_F(ServeTest, HostileStoredGridIsRefusedWithinASecond) {
+  // route::extract walks every wire in pitch steps. A 1 DBU pitch and a
+  // wire across a 10^7 DBU grid cost 8-10 s of node insertions before the
+  // stored pitch and grid were bounded by the router's own sizing rule.
+  const auto hostile = [](bool fine_pitch) {
+    return routed_session_with([fine_pitch](json::Value& routing) {
+      json::Value grid = routing.at("grid_bbox");
+      const std::int64_t lo_x = grid.at("lo_x").as_int64();
+      const std::int64_t y = grid.at("lo_y").as_int64();
+      grid.set("hi_x", lo_x + 10'000'000);
+      routing.set("grid_bbox", std::move(grid));
+      if (fine_pitch) routing.set("pitch", 1);
+      const json::Value& nets = routing.at("nets");
+      json::Value wire = json::Value::array();
+      for (const std::int64_t v : {std::int64_t{0}, lo_x, y,
+                                   lo_x + 10'000'000, y, std::int64_t{1}}) {
+        wire.push_back(v);
+      }
+      for (std::size_t n = 0; n < nets.size(); ++n) {
+        if (nets.at(n).at("wires").size() == 0) continue;
+        json::Value net = nets.at(n);
+        net.set("wires", with_item(net.at("wires"), 0, std::move(wire)));
+        routing.set("nets", with_item(nets, n, std::move(net)));
+        return;
+      }
+    });
+  };
+  const json::Value fine_pitch = hostile(true);
+  const json::Value wide_grid = hostile(false);
+
+  const int port = start();
+  auto c = client(port);
+  const std::vector<std::pair<const json::Value*, std::string>> refused = {
+      {&fine_pitch, "routing pitch 1 is not the rules' route pitch"},
+      {&wide_grid, "routing grid is larger than the router builds"},
+  };
+  for (const auto& [session, message] : refused) {
+    SCOPED_TRACE(message);
+    auto start_time = std::chrono::steady_clock::now();
+    const auto resumed = api::Flow::resume_json(*session, "<test>");
+    EXPECT_LT(std::chrono::steady_clock::now() - start_time,
+              std::chrono::seconds(1));
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_NE(resumed.error().message.find(message), std::string::npos)
+        << resumed.error().message;
+
+    json::Value request = serve::make_request(serve::RequestKind::kResume);
+    request.set("session", *session);
+    start_time = std::chrono::steady_clock::now();
+    auto served = c.call(request);
+    EXPECT_LT(std::chrono::steady_clock::now() - start_time,
+              std::chrono::seconds(1));
+    ASSERT_TRUE(served.ok());
+    EXPECT_FALSE(served.value().get_bool("ok"));
+    EXPECT_NE(diagnostics_of(served.value()).find(message),
+              std::string::npos);
+    EXPECT_TRUE(c.ping());
+  }
+}
+
 TEST_F(ServeTest, OutOfRangeTrialsAndThreadsAreRefusedWithTheirRange) {
   const int port = start();
   auto c = client(port);
