@@ -7,8 +7,9 @@
 // Workloads:
 //   * rca256  — 256-bit ripple-carry adder (2304 gates, 513 inputs)
 //   * mul30   — 30x30 array multiplier (~10k gates, deep carry chains)
-//   * rand10k — seeded 10k-gate random DAG (reconvergent, wide fanout)
-//   * rand1k  — 1k-gate random DAG for the opt:: sizing/buffering pass
+//   * rand10k — seeded 10k-gate random DAG (reconvergent, wide fanout),
+//               also run through the opt:: passes
+//   * rand1k  — 1k-gate random DAG for the opt:: passes
 //   * rca64 via gen::to_expressions — the mapper DP at ~100k expr nodes
 //
 // Every design's reference netlist is checked against its independent
@@ -147,16 +148,22 @@ int main() {
       flow.signed_off() != nullptr && flow.signed_off()->clean();
   std::printf("10k flow signoff clean: %s\n", signoff_clean ? "yes" : "NO");
 
-  // --- opt:: passes at 1k gates (sharded sizing) ---------------------------
+  // --- opt:: passes at 1k and 10k gates ------------------------------------
+  // Each candidate edit is tried in place and undone on reject; a return of
+  // per-candidate netlist copies makes the 10k run quadratic again.
+  auto optimize_ms = [&](const gen::Generated& design, const char* name) {
+    auto netlist = design.netlist;
+    const auto start = std::chrono::steady_clock::now();
+    const auto stats = opt::optimize(netlist, library);
+    const double ms = ms_since(start);
+    std::printf("optimize %s: %d edits in %.1f ms (%.0f gates/sec)\n", name,
+                stats.edits(), ms,
+                gates_per_sec(design.netlist.gates().size(), ms));
+    return ms;
+  };
   const std::size_t n1k = rand1k.netlist.gates().size();
-  opt::OptOptions oopt;
-  oopt.num_threads = 0;  // one worker per hardware thread
-  auto opt_netlist = rand1k.netlist;
-  const auto opt_start = std::chrono::steady_clock::now();
-  const auto stats = opt::optimize(opt_netlist, library, oopt);
-  const double opt_ms = ms_since(opt_start);
-  std::printf("optimize rand1k: %d edits in %.1f ms (%.0f gates/sec)\n",
-              stats.edits(), opt_ms, gates_per_sec(n1k, opt_ms));
+  const double opt_ms = optimize_ms(rand1k, "rand1k");
+  const double opt10k_ms = optimize_ms(rand10k, "rand10k");
 
   // --- incremental vs full re-time at 10k gates ----------------------------
   flow::GateNetlist timed = rand10k.netlist;
@@ -201,6 +208,7 @@ int main() {
   scale.set("signoff_10k_gates_per_sec", gates_per_sec(n10k, signoff_ms));
   scale.set("export_10k_gates_per_sec", gates_per_sec(n10k, export_ms));
   scale.set("opt_1k_gates_per_sec", gates_per_sec(n1k, opt_ms));
+  scale.set("opt_10k_gates_per_sec", gates_per_sec(n10k, opt10k_ms));
   scale.set("incremental_timing_speedup_10k", incremental_speedup);
   scale.set("incremental_identical", incremental_identical);
   scale.set("oracle_identical", oracle_identical);

@@ -1,9 +1,9 @@
 // Multicore-scaling bench: speedup-vs-threads ladders (1/2/4/N) for the
-// four parallel subsystems — cold library characterization, Monte Carlo
-// mispositioning trials, api::run_batch job fan-out, and the sharded
-// 10k-gate sizing sweep — plus the steady-state allocation counter over
-// a warm characterization arc (the zero-allocation contract, measured
-// with the counting operator new when the build has it).
+// three parallel subsystems — cold library characterization, Monte Carlo
+// mispositioning trials and api::run_batch job fan-out — plus the
+// steady-state allocation counter over a warm characterization arc (the
+// zero-allocation contract, measured with the counting operator new when
+// the build has it).
 //
 // Every ladder rung is checked bit-identical to the single-thread run;
 // that and allocs-per-arc == 0 are hard failures here. The speedup
@@ -15,20 +15,15 @@
 // (bench_common.hpp: sections written by other benches are kept).
 //
 //   $ ./bench_scaling         # a few seconds; updates ./BENCH_perf.json
-#include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "api/batch.hpp"
 #include "cnt/analyzer.hpp"
-#include "gen/gen.hpp"
 #include "layout/cells.hpp"
 #include "liberty/library.hpp"
-#include "opt/opt.hpp"
-#include "sta/timing_graph.hpp"
 #include "util/heap_count.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
@@ -39,7 +34,6 @@ using namespace cnfet;
 namespace json = util::json;
 using bench::best_ms;
 using bench::libraries_identical;
-using bench::ms_since;
 
 /// One subsystem's ladder: wall ms per thread count, all rungs checked
 /// bit-identical to the t=1 run.
@@ -167,44 +161,6 @@ int main() {
   }
   print_ladder("run_batch", batch_ladder);
 
-  // --- 10k-gate sizing ladder ----------------------------------------------
-  gen::GenOptions gen_options;
-  gen_options.family = gen::Family::kRandomDag;
-  gen_options.target_gates = 10000;
-  gen_options.num_inputs = 64;
-  gen_options.seed = 1;
-  const auto rand10k = gen::generate(lib_t1, gen_options);
-  const std::size_t n10k = rand10k.netlist.gates().size();
-  constexpr int kSizingRounds = 6;
-  Ladder opt_ladder;
-  std::string opt_t1;
-  for (const int t : ladder_threads) {
-    auto netlist = rand10k.netlist;
-    sta::TimingGraph graph(netlist);
-    (void)graph.worst_arrival();
-    opt::OptOptions options;
-    options.num_threads = t;
-    options.max_sizing_rounds = kSizingRounds;
-    opt::PassStats stats;
-    const double budget = opt::total_area(netlist) * 1.25;
-    const auto start = std::chrono::steady_clock::now();
-    opt::size_gates(netlist, graph, lib_t1, options, budget, &stats);
-    opt_ladder.threads.push_back(t);
-    opt_ladder.ms.push_back(ms_since(start));
-    // Identity = the resized netlist (every gate's cell) plus the worst
-    // arrival, both bitwise.
-    std::ostringstream state;
-    for (const auto& gate : netlist.gates()) state << gate.cell->name << ",";
-    state.precision(17);
-    state << graph.worst_arrival();
-    if (t == 1) {
-      opt_t1 = state.str();
-    } else {
-      opt_ladder.identical = opt_ladder.identical && state.str() == opt_t1;
-    }
-  }
-  print_ladder("opt_sizing_10k", opt_ladder);
-
   // --- steady-state allocations per warm characterization arc --------------
   const bool counting = util::heap_counting_enabled();
   double allocs_per_arc = 0.0;
@@ -234,24 +190,19 @@ int main() {
   scaling.set("characterization", ladder_json(char_ladder));
   scaling.set("monte_carlo", ladder_json(mc_ladder));
   scaling.set("run_batch", ladder_json(batch_ladder));
-  json::Value opt_section = ladder_json(opt_ladder);
-  opt_section.set("gates", static_cast<int>(n10k));
-  opt_section.set("rounds", kSizingRounds);
-  scaling.set("opt_sizing", std::move(opt_section));
   if (!bench::merge_perf_json(bench::object({{"scaling", scaling}}))) {
     return 1;
   }
 
   const bool all_identical = char_ladder.identical && mc_ladder.identical &&
-                             batch_ladder.identical && opt_ladder.identical;
+                             batch_ladder.identical;
   const bool allocs_ok = !counting || allocs_per_arc == 0.0;
   if (!all_identical || !allocs_ok) {
     std::fprintf(stderr,
                  "scaling bench hard failure (identical: char %d mc %d "
-                 "batch %d opt %d; allocs/arc %.2f)\n",
+                 "batch %d; allocs/arc %.2f)\n",
                  char_ladder.identical ? 1 : 0, mc_ladder.identical ? 1 : 0,
-                 batch_ladder.identical ? 1 : 0, opt_ladder.identical ? 1 : 0,
-                 allocs_per_arc);
+                 batch_ladder.identical ? 1 : 0, allocs_per_arc);
     return 1;
   }
   return 0;

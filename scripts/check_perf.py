@@ -94,8 +94,7 @@ def check_scaling(scaling: dict, floors: dict) -> None:
         else:
             skip(name, f"host has {hardware} < {min_threads} hardware "
                  "threads")
-    for section in ["characterization", "monte_carlo", "run_batch",
-                    "opt_sizing"]:
+    for section in ["characterization", "monte_carlo", "run_batch"]:
         check_flag(f"scaling.{section}.identical",
                    scaling[section]["identical"])
     if scaling["alloc_counting"]:

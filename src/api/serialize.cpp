@@ -1,5 +1,6 @@
 #include "api/serialize.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <exception>
 #include <filesystem>
@@ -859,6 +860,30 @@ util::Result<T> load(const std::string& path, const char* kind) {
   }
 }
 
+/// flow::place is deterministic, so a stored placement must be the one it
+/// builds for the stored netlist and options. Resume bounds the stored
+/// routing grid by the placement, so that bound trusts the session only
+/// after this check.
+void check_stored_placement(const flow::PlacementResult& stored,
+                            const flow::PlacementResult& placed) {
+  const auto& a = stored.instances;
+  const auto& b = placed.instances;
+  for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+    if (i < a.size() && i < b.size() && a[i].gate == b[i].gate &&
+        a[i].origin == b[i].origin && a[i].width == b[i].width &&
+        a[i].height == b[i].height) {
+      continue;
+    }
+    throw util::Error(
+        "stored placement instance " + std::to_string(i) +
+        (i < b.size() ? " (gate " + b[i].gate->name + ")" : std::string()) +
+        " differs from the placer's");
+  }
+  if (stored.bbox != placed.bbox) {
+    throw util::Error("stored placement bbox differs from the placer's");
+  }
+}
+
 }  // namespace
 
 util::Result<layout::Tech> tech_from_string(const std::string& name) {
@@ -1147,6 +1172,14 @@ util::Result<Flow> Flow::resume_json(const json::Value& payload,
       // Placement gate indices resolve against the netlist just mapped.
       if (flow.mapped_) read.netlist = &flow.mapped_->map.netlist;
     });
+    if (flow.placed_) {
+      if (!flow.mapped_) {
+        throw util::Error("placed artifact without a mapped netlist");
+      }
+      check_stored_placement(
+          flow.placed_->placement,
+          flow::place(flow.mapped_->map.netlist, flow.options_.place));
+    }
     if (flow.routed_) {
       if (!flow.mapped_ || !flow.placed_) {
         throw util::Error("routed artifact without a netlist and placement");

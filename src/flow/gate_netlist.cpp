@@ -59,23 +59,6 @@ void GateNetlist::add_gate(Gate gate) {
   gates_.push_back(std::move(gate));
 }
 
-void GateNetlist::replace_gate(int index, Gate gate) {
-  CNFET_REQUIRE(index >= 0 && index < static_cast<int>(gates_.size()));
-  CNFET_REQUIRE(gate.cell != nullptr);
-  CNFET_REQUIRE(static_cast<int>(gate.inputs.size()) ==
-                gate.cell->built.netlist.num_inputs());
-  for (const int n : gate.inputs) CNFET_REQUIRE(n >= 0 && n < num_nets());
-  CNFET_REQUIRE_MSG(gate.output == gates_[static_cast<std::size_t>(index)].output,
-                    "replace_gate must keep the same output net");
-  // A resize (same pins, different cell) touches no connectivity; only a
-  // replacement that rewires inputs invalidates the caches.
-  if (gate.inputs != gates_[static_cast<std::size_t>(index)].inputs) {
-    adjacency_valid_ = false;
-    topo_valid_ = false;
-  }
-  gates_[static_cast<std::size_t>(index)] = std::move(gate);
-}
-
 void GateNetlist::resize_gate(int index, const liberty::LibCell* cell) {
   CNFET_REQUIRE(index >= 0 && index < static_cast<int>(gates_.size()));
   CNFET_REQUIRE(cell != nullptr);
@@ -127,6 +110,53 @@ void GateNetlist::remove_gates(const std::vector<bool>& keep) {
   gates_ = std::move(kept);
   adjacency_valid_ = false;
   topo_valid_ = false;
+}
+
+std::vector<int> GateNetlist::truncate(int num_gates, int num_nets) {
+  CNFET_REQUIRE(num_gates >= 0 &&
+                num_gates <= static_cast<int>(gates_.size()));
+  CNFET_REQUIRE(num_nets >= 0 && num_nets <= this->num_nets());
+  ensure_adjacency();
+  for (int net = num_nets; net < this->num_nets(); ++net) {
+    const auto n = static_cast<std::size_t>(net);
+    CNFET_REQUIRE_MSG(po_count_[n] == 0, "truncate: net " + net_name(net) +
+                                             " is a primary output");
+    // Fanout lists ascend by gate: the first reader is the smallest.
+    CNFET_REQUIRE_MSG(
+        fanout_[n].empty() || fanout_[n].front().first >= num_gates,
+        "truncate: net " + net_name(net) + " is read by a kept gate");
+    CNFET_REQUIRE_MSG(driver_of_[n] < 0 || driver_of_[n] >= num_gates,
+                      "truncate: net " + net_name(net) +
+                          " is driven by a kept gate");
+  }
+  for (const int net : inputs_) {
+    CNFET_REQUIRE_MSG(net < num_nets, "truncate: net " + net_name(net) +
+                                          " is a primary input");
+  }
+  std::vector<int> fanins;
+  for (auto g = static_cast<std::size_t>(num_gates); g < gates_.size(); ++g) {
+    CNFET_REQUIRE_MSG(gates_[g].output >= num_nets, "truncate: gate " +
+                                                        gates_[g].name +
+                                                        " drives a kept net");
+    for (const int in : gates_[g].inputs) {
+      if (in < num_nets) fanins.push_back(in);
+    }
+  }
+  std::sort(fanins.begin(), fanins.end());
+  fanins.erase(std::unique(fanins.begin(), fanins.end()), fanins.end());
+  // A kept net's dropped readers are the tail of its fanout list.
+  for (const int net : fanins) {
+    auto& list = fanout_[static_cast<std::size_t>(net)];
+    while (!list.empty() && list.back().first >= num_gates) list.pop_back();
+  }
+  gates_.erase(gates_.begin() + num_gates, gates_.end());
+  const auto nets = static_cast<std::size_t>(num_nets);
+  net_names_.resize(nets);
+  po_count_.resize(nets);
+  driver_of_.resize(nets);
+  fanout_.resize(nets);
+  topo_valid_ = false;
+  return fanins;
 }
 
 void GateNetlist::ensure_adjacency() const {

@@ -23,7 +23,7 @@ struct Gate {
 /// A gate netlist with cached connectivity: the net->driver table, the
 /// per-net fanout adjacency and the topological order are built once on
 /// demand and kept consistent across the cheap mutations (add_net,
-/// add_gate, pin-preserving replace_gate, set_gate_input), so the timing
+/// add_gate, resize_gate, set_gate_input, truncate), so the timing
 /// graph and the opt:: passes can hammer driver()/fanout()/net_load()
 /// without re-scanning every gate.
 class GateNetlist {
@@ -42,18 +42,11 @@ class GateNetlist {
   void add_gate(Gate gate);
   [[nodiscard]] const std::vector<Gate>& gates() const { return gates_; }
 
-  /// Swaps out one gate (e.g. resizing a cell) with the same validation as
-  /// add_gate plus the single-driver invariant: the replacement must keep
-  /// driving the same output net. This is the only mutation of an existing
-  /// gate's cell — handing out a mutable gates() vector would let callers
-  /// silently break driver/topological invariants. A replacement with the
-  /// same input nets (the resize case) keeps the connectivity caches warm.
-  void replace_gate(int index, Gate gate);
-
-  /// Swaps one gate's cell in place, keeping name and pin connectivity —
-  /// the drive-change fast path the sizing pass hammers (no Gate copy, no
-  /// cache invalidation). The replacement cell must have the same pin
-  /// arity.
+  /// Swaps one gate's cell in place, keeping name and pin connectivity (no
+  /// Gate copy, no cache invalidation). The replacement cell must have the
+  /// same pin arity. This is the only mutation of an existing gate's cell:
+  /// a mutable gates() vector would let callers silently break the driver
+  /// and topological invariants.
   void resize_gate(int index, const liberty::LibCell* cell);
 
   /// Rewires one input pin of an existing gate to a different net (how the
@@ -69,6 +62,15 @@ class GateNetlist {
   /// Net ids are preserved — orphaned nets simply lose their driver —
   /// but gate indices compact, so connectivity caches rebuild.
   void remove_gates(const std::vector<bool>& keep);
+
+  /// Drops the gates from index `num_gates` on and the nets from id
+  /// `num_nets` on: the undo of appending them (an opt:: trial edit). The
+  /// driver and fanout caches stay warm and canonical. Refuses, changing
+  /// nothing, when a dropped net is a primary input or output or is read
+  /// or driven by a kept gate, or when a dropped gate drives a kept net.
+  /// Returns the kept nets that lost readers, ascending (sta::TimingGraph::
+  /// on_truncated re-times them).
+  [[nodiscard]] std::vector<int> truncate(int num_gates, int num_nets);
 
   /// Gates in topological order (inputs before users); throws on cycles.
   [[nodiscard]] std::vector<const Gate*> topological_order() const;

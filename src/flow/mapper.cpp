@@ -340,17 +340,16 @@ MapResult map_expressions(const std::vector<OutputSpec>& outputs,
   result.inv_count = cover.inv_count;
 
   // Output buffering: resize the driver of each primary output in place.
-  // replace_gate keeps the driver/topology invariants intact. 0 leaves the
-  // outputs alone; any other value must be a drive the library has.
+  // 0 leaves the outputs alone; any other value must be a drive the
+  // library has.
   if (options.output_drive != 0 && options.output_drive != options.drive) {
     for (const int out : result.netlist.outputs()) {
       const int i = result.netlist.driver_index(out);
       if (i < 0) continue;  // an output fed straight from a primary input
       const auto& gate = result.netlist.gates()[static_cast<std::size_t>(i)];
-      Gate resized = gate;
-      resized.cell = &library.find(liberty::Library::base_name(gate.cell->name),
-                                   options.output_drive);
-      result.netlist.replace_gate(i, std::move(resized));
+      result.netlist.resize_gate(
+          i, &library.find(liberty::Library::base_name(gate.cell->name),
+                           options.output_drive));
     }
   }
   return result;

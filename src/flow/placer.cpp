@@ -20,8 +20,7 @@ struct Footprint {
   Coord height;  ///< natural height
 };
 
-double hpwl(const GateNetlist& netlist,
-            const std::vector<PlacedInstance>& instances) {
+double hpwl(const std::vector<PlacedInstance>& instances) {
   // Pin position approximation: instance center; PI/PO pins ignored.
   std::map<int, std::vector<Vec2>> net_pins;
   for (const auto& inst : instances) {
@@ -139,7 +138,7 @@ PlacementResult place(const GateNetlist& netlist, const PlaceOptions& options) {
       result.placed_area_lambda2 = area;
     }
   }
-  result.hpwl_lambda = hpwl(netlist, result.instances);
+  result.hpwl_lambda = hpwl(result.instances);
   return result;
 }
 

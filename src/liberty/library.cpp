@@ -309,7 +309,7 @@ LibCell characterize_cell(const layout::CellSpec& spec, double drive,
   }
 
   // Every (arc, slew, load) grid point is an independent transient.
-  // Sharding is by (arc, slew ROW): coarse enough that a task amortizes
+  // One task is one (arc, slew ROW): coarse enough that a task amortizes
   // its worker's scratch bind over a whole row of loads, fine enough
   // that a 15-cell library still fans out well past 8 workers. Each
   // worker holds one thread-local ArcScratch re-bound at most once per

@@ -1,9 +1,9 @@
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "opt/opt.hpp"
-#include "util/error.hpp"
 
 namespace cnfet::opt {
 
@@ -11,25 +11,6 @@ using flow::Gate;
 using flow::GateNetlist;
 
 using detail::check_incremental;
-
-namespace {
-
-/// Adds the polarity-preserving pre-driver + final-stage inverter pair on
-/// `net` and returns (pre net, buffered net). Pure netlist surgery; the
-/// caller wires it to the graph / primary outputs.
-std::pair<int, int> add_inverter_pair(GateNetlist& netlist, int net,
-                                      const liberty::LibCell* pre_cell,
-                                      const liberty::LibCell* final_cell,
-                                      const std::string& tag) {
-  const std::string base = netlist.net_name(net) + "_" + tag;
-  const int pre = netlist.add_net(base + "_pre");
-  const int buf = netlist.add_net(base + "_buf");
-  netlist.add_gate(Gate{pre_cell, {net}, pre, base + "_pre"});
-  netlist.add_gate(Gate{final_cell, {pre}, buf, base + "_buf"});
-  return {pre, buf};
-}
-
-}  // namespace
 
 void insert_buffers(GateNetlist& netlist, sta::TimingGraph& graph,
                     const liberty::Library& library, const OptOptions& options,
@@ -41,64 +22,90 @@ void insert_buffers(GateNetlist& netlist, sta::TimingGraph& graph,
     if (option.drive == 2.0) pre_cell = option.cell;  // the classic 2X pre-driver
   }
   double area = total_area(netlist);
+  const auto fits = [&](const liberty::DriveOption& option) {
+    return area + pre_cell->area_lambda2 + option.cell->area_lambda2 <=
+           area_budget;
+  };
+
+  // The one buffering edit: an INV_2X -> INV_kX pair on `net` takes over
+  // `sinks` (and the port `net`, when `port`), tried in place on the live
+  // netlist and graph. The final stage's drive is swept under the area
+  // budget; the best drive that lowers the worst arrival is kept, or the
+  // whole edit is undone.
+  const auto try_pair = [&](int net, const char* tag,
+                            const std::vector<std::pair<int, int>>& sinks,
+                            bool port) {
+    if (std::none_of(inv_family.begin(), inv_family.end(), fits)) return;
+    const double worst = graph.worst_arrival();
+    const int gates = static_cast<int>(netlist.gates().size());
+    const int nets = netlist.num_nets();
+    const std::string base = netlist.net_name(net) + "_" + tag;
+    const int pre = netlist.add_net(base + "_pre");
+    const int buf = netlist.add_net(base + "_buf");
+    netlist.add_gate(Gate{pre_cell, {net}, pre, base + "_pre"});
+    netlist.add_gate(Gate{inv_family.front().cell, {pre}, buf, base + "_buf"});
+    const int final_stage = gates + 1;
+    graph.on_gate_added(gates);
+    graph.on_gate_added(final_stage);
+    for (const auto& [sink, pin] : sinks) {
+      netlist.set_gate_input(sink, pin, buf);
+      graph.on_input_rewired(sink, pin, net);
+    }
+    if (port) {
+      netlist.replace_output(net, buf);
+      graph.on_output_moved(net, buf);
+    }
+
+    const liberty::LibCell* best = nullptr;
+    double best_worst = worst;
+    for (const auto& option : inv_family) {
+      if (!fits(option)) continue;
+      netlist.resize_gate(final_stage, option.cell);
+      graph.on_gate_replaced(final_stage);
+      const double candidate = graph.worst_arrival();
+      if (candidate < best_worst) {
+        best_worst = candidate;
+        best = option.cell;
+      }
+    }
+
+    if (best != nullptr) {
+      if (netlist.gates()[static_cast<std::size_t>(final_stage)].cell !=
+          best) {
+        netlist.resize_gate(final_stage, best);
+        graph.on_gate_replaced(final_stage);
+      }
+      area += pre_cell->area_lambda2 + best->area_lambda2;
+      stats->buffers_inserted += 2;
+    } else {
+      if (port) {
+        netlist.replace_output(buf, net);
+        graph.on_output_moved(buf, net);
+      }
+      for (const auto& [sink, pin] : sinks) {
+        netlist.set_gate_input(sink, pin, net);
+        graph.on_input_rewired(sink, pin, buf);
+      }
+      graph.on_truncated(netlist.truncate(gates, nets));
+    }
+    check_incremental(graph, options);
+  };
+  const auto met_target = [&] {
+    return options.target_delay > 0.0 &&
+           graph.worst_arrival() <= options.target_delay;
+  };
 
   // --- primary-output buffering -----------------------------------------
-  // Candidates are costed on a clone (a structural edit is cheap to apply
-  // incrementally but expensive to revert); the accepted drive is then
-  // applied to the live netlist through the graph's notifications.
   for (std::size_t k = 0; k < netlist.outputs().size(); ++k) {
     const int po = netlist.outputs()[k];
     if (netlist.driver_index(po) < 0) continue;  // PI-fed output
-    const double worst = graph.worst_arrival();
-    if (options.target_delay > 0.0 && worst <= options.target_delay) break;
-
-    // One clone + rebind-cloned graph for the whole drive sweep: the pair
-    // is inserted incrementally once, then each drive is a resize of the
-    // final stage — a cone re-time instead of a from-scratch NLDM build
-    // per (output, drive) pair, which dominated optimize() at 10k gates.
-    const liberty::LibCell* best_final = nullptr;
-    double best_worst = worst;
-    GateNetlist trial = netlist;
-    sta::TimingGraph trial_graph(graph, trial);
-    const auto [t_pre, t_buf] = add_inverter_pair(
-        trial, po, pre_cell, inv_family.front().cell, "obuf");
-    (void)t_pre;
-    const int final_index = static_cast<int>(trial.gates().size()) - 1;
-    trial_graph.on_gate_added(final_index - 1);
-    trial_graph.on_gate_added(final_index);
-    trial.replace_output(po, t_buf);
-    trial_graph.on_output_moved(po, t_buf);
-    for (const auto& option : inv_family) {
-      const double added =
-          pre_cell->area_lambda2 + option.cell->area_lambda2;
-      if (area + added > area_budget) continue;
-      trial.resize_gate(final_index, option.cell);
-      trial_graph.on_gate_replaced(final_index);
-      const double candidate = trial_graph.worst_arrival();
-      if (candidate < best_worst) {
-        best_worst = candidate;
-        best_final = option.cell;
-      }
-    }
-    if (best_final == nullptr) continue;
-
-    const auto [pre, buf] =
-        add_inverter_pair(netlist, po, pre_cell, best_final, "obuf");
-    (void)pre;
-    graph.on_gate_added(static_cast<int>(netlist.gates().size()) - 2);
-    graph.on_gate_added(static_cast<int>(netlist.gates().size()) - 1);
-    netlist.replace_output(po, buf);
-    graph.on_output_moved(po, buf);
-    area += pre_cell->area_lambda2 + best_final->area_lambda2;
-    stats->buffers_inserted += 2;
-    check_incremental(graph, options);
+    if (met_target()) return;
+    try_pair(po, "obuf", {}, /*port=*/true);
   }
 
   // --- fanout splitting ---------------------------------------------------
-  // Heavy nets hand the later half of their sinks to a buffered copy,
-  // halving the load the driver sees. Polarity is preserved by the same
-  // inverter pair, and the move is accepted only when the global worst
-  // arrival actually improves.
+  // Heavy nets hand the later half of their sinks, in canonical (gate, pin)
+  // order, to a buffered copy, halving the load the driver sees.
   if (options.fanout_buffer_threshold <= 0) return;
   std::vector<int> heavy;
   for (int net = 0; net < netlist.num_nets(); ++net) {
@@ -108,58 +115,12 @@ void insert_buffers(GateNetlist& netlist, sta::TimingGraph& graph,
     }
   }
   for (const int net : heavy) {
-    const double worst = graph.worst_arrival();
-    if (options.target_delay > 0.0 && worst <= options.target_delay) return;
-
-    // The sinks that move: the later half in canonical (gate, pin) order.
-    const auto all_sinks = netlist.fanout(net);
-    const std::size_t first_moved = all_sinks.size() / 2;
-    const std::vector<std::pair<int, int>> moved(
-        all_sinks.begin() + static_cast<std::ptrdiff_t>(first_moved),
-        all_sinks.end());
-
-    // Same one-clone-per-candidate scheme as output buffering above.
-    const liberty::LibCell* best_final = nullptr;
-    double best_worst = worst;
-    GateNetlist trial = netlist;
-    sta::TimingGraph trial_graph(graph, trial);
-    const auto [t_pre, t_buf] = add_inverter_pair(
-        trial, net, pre_cell, inv_family.front().cell, "fbuf");
-    (void)t_pre;
-    const int final_index = static_cast<int>(trial.gates().size()) - 1;
-    trial_graph.on_gate_added(final_index - 1);
-    trial_graph.on_gate_added(final_index);
-    for (const auto& [sink, pin] : moved) {
-      trial.set_gate_input(sink, pin, t_buf);
-      trial_graph.on_input_rewired(sink, pin, net);
-    }
-    for (const auto& option : inv_family) {
-      if (area + pre_cell->area_lambda2 + option.cell->area_lambda2 >
-          area_budget) {
-        continue;
-      }
-      trial.resize_gate(final_index, option.cell);
-      trial_graph.on_gate_replaced(final_index);
-      const double candidate = trial_graph.worst_arrival();
-      if (candidate < best_worst) {
-        best_worst = candidate;
-        best_final = option.cell;
-      }
-    }
-    if (best_final == nullptr) continue;
-
-    const auto [pre, buf] =
-        add_inverter_pair(netlist, net, pre_cell, best_final, "fbuf");
-    (void)pre;
-    graph.on_gate_added(static_cast<int>(netlist.gates().size()) - 2);
-    graph.on_gate_added(static_cast<int>(netlist.gates().size()) - 1);
-    for (const auto& [sink, pin] : moved) {
-      netlist.set_gate_input(sink, pin, buf);
-      graph.on_input_rewired(sink, pin, net);
-    }
-    area += pre_cell->area_lambda2 + best_final->area_lambda2;
-    stats->buffers_inserted += 2;
-    check_incremental(graph, options);
+    if (met_target()) return;
+    const auto& sinks = netlist.fanout(net);
+    try_pair(net, "fbuf",
+             {sinks.begin() + static_cast<std::ptrdiff_t>(sinks.size() / 2),
+              sinks.end()},
+             /*port=*/false);
   }
 }
 

@@ -4,14 +4,17 @@
 // cleanup. optimize() always runs cleanup -> sizing -> buffering -> sizing
 // (the second sizing round re-sizes under the loads the buffers changed).
 // Every pass mutates the flow::GateNetlist in place and keeps the shared
-// graph consistent through its incremental edit notifications, so a sizing
-// sweep pays one cone re-time per candidate instead of a full STA.
+// graph consistent through its incremental edit notifications. Each
+// candidate edit is tried the same way: applied to the live netlist and
+// graph, measured, then kept or undone in place (GateNetlist::truncate +
+// TimingGraph::on_truncated drop a rejected buffer pair), so a candidate
+// costs one cone re-time instead of a full STA or a netlist copy.
 //
 // The passes never change the netlist's function: optimize() snapshots the
 // primary outputs under flow::check_patterns() before running and compares
 // after (every row up to 16 inputs, 4,096 seeded vectors above), and every
-// accepted edit can be cross-checked against a full graph rebuild with
-// OptOptions::verify_incremental.
+// kept or undone edit can be cross-checked against a full graph rebuild
+// with OptOptions::verify_incremental.
 #pragma once
 
 #include "flow/gate_netlist.hpp"
@@ -36,12 +39,11 @@ struct OptOptions {
   /// buffer splitting; 0 disables splitting.
   int fanout_buffer_threshold = 4;
   /// Cross-check the graph against a full rebuild after every accepted
-  /// edit (bit-for-bit; throws on divergence). For tests — quadratic.
+  /// resize and every buffer trial, kept or undone (bit-for-bit; throws on
+  /// divergence). For tests — quadratic.
   bool verify_incremental = false;
-  /// Worker threads for the sizing pass's candidate sweep (0 = one per
-  /// hardware thread). Any value produces bit-identical results: shards
-  /// evaluate disjoint candidate ranges on private netlist/graph clones
-  /// and the winner is chosen by (arrival, enumeration index).
+  /// Ignored: every pass runs on one thread. Kept only because perfbench
+  /// still assigns it; it goes with the next change to perfbench.
   int num_threads = 1;
 };
 
@@ -78,17 +80,17 @@ void cleanup(flow::GateNetlist& netlist, PassStats* stats);
 /// Greedy critical-path sizing: each round walks the critical path, tries
 /// every other drive of each gate's family (library.drives_of) under the
 /// area budget, and accepts the single resize that improves the worst
-/// arrival most. Every candidate is evaluated by an incremental cone
-/// re-time and reverted the same way.
+/// arrival most. Every candidate is tried in place by an incremental cone
+/// re-time and reverted the same way; ties break by enumeration order.
 void size_gates(flow::GateNetlist& netlist, sta::TimingGraph& graph,
                 const liberty::Library& library, const OptOptions& options,
                 double area_budget, PassStats* stats);
 
 /// Buffer insertion: a polarity-preserving INV_2X -> INV_kX pair on each
 /// primary output (k swept over the inverter drive family), and fanout
-/// splitting of heavy nets (half the sinks move to a buffered copy).
-/// Candidates are costed on a clone; accepted edits are applied to the
-/// live netlist through the graph's incremental notifications.
+/// splitting of heavy nets (half the sinks move to a buffered copy). Both
+/// are one edit, tried on the live netlist and graph through the graph's
+/// incremental notifications and undone in place when no drive helps.
 void insert_buffers(flow::GateNetlist& netlist, sta::TimingGraph& graph,
                     const liberty::Library& library, const OptOptions& options,
                     double area_budget, PassStats* stats);

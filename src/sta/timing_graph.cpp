@@ -25,17 +25,6 @@ TimingGraph::TimingGraph(const flow::GateNetlist& netlist,
   full_update();
 }
 
-TimingGraph::TimingGraph(const TimingGraph& other,
-                         const flow::GateNetlist& netlist)
-    : TimingGraph(other) {
-  // Every cached value is indexed by net id / gate index, never by pointer,
-  // so retargeting the netlist pointer is the whole rebind. The caller
-  // guarantees `netlist` currently equals other's netlist gate-for-gate.
-  CNFET_REQUIRE(netlist.num_nets() == other.netlist_->num_nets());
-  CNFET_REQUIRE(netlist.gates().size() == other.netlist_->gates().size());
-  netlist_ = &netlist;
-}
-
 void TimingGraph::full_update() {
   const auto& gates = netlist_->gates();
   const auto n = static_cast<std::size_t>(netlist_->num_nets());
@@ -195,15 +184,13 @@ void TimingGraph::relevel_from(int gate_index) {
   }
 }
 
-void TimingGraph::grow_to_netlist() {
+void TimingGraph::fit_nets_to_netlist() {
   const auto n = static_cast<std::size_t>(netlist_->num_nets());
-  if (arrival_.size() < n) {
-    arrival_.resize(n, 0.0);
-    slew_.resize(n, options_.input_slew);
-    required_.resize(n, kUnconstrained);
-    load_.resize(n, 0.0);
-    level_.resize(n, 0);
-  }
+  arrival_.resize(n, 0.0);
+  slew_.resize(n, options_.input_slew);
+  required_.resize(n, kUnconstrained);
+  load_.resize(n, 0.0);
+  level_.resize(n, 0);
 }
 
 void TimingGraph::on_gate_replaced(int gate_index) {
@@ -218,7 +205,7 @@ void TimingGraph::on_gate_replaced(int gate_index) {
 }
 
 void TimingGraph::on_gate_added(int gate_index) {
-  grow_to_netlist();
+  fit_nets_to_netlist();
   const Gate& gate = netlist_->gates()[static_cast<std::size_t>(gate_index)];
   CNFET_REQUIRE_MSG(gate_index == static_cast<int>(pin_offset_.size()),
                     "on_gate_added must follow each add_gate in order");
@@ -255,6 +242,31 @@ void TimingGraph::on_output_moved(int old_net, int new_net) {
   recompute_load(new_net);
   enqueue_driver(new_net);
   summary_dirty_ = true;
+}
+
+void TimingGraph::on_truncated(const std::vector<int>& fanin_nets) {
+  const auto gates = netlist_->gates().size();
+  if (gates < pin_offset_.size()) {
+    arc_delay_.resize(static_cast<std::size_t>(pin_offset_[gates]));
+  }
+  pin_offset_.resize(gates);
+  energy_.resize(gates);
+  energy_stale_.resize(gates);
+  crit_pin_.resize(gates);
+  queued_.resize(gates);
+  fit_nets_to_netlist();
+  // Worklist entries of dropped gates go; (level, gate) pairs are totally
+  // ordered, so the rebuilt heap pops the survivors in the same order.
+  std::erase_if(heap_, [&](const std::pair<int, int>& entry) {
+    return static_cast<std::size_t>(entry.second) >= gates;
+  });
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  order_valid_ = false;
+  summary_dirty_ = true;
+  for (const int net : fanin_nets) {
+    recompute_load(net);
+    enqueue_driver(net);
+  }
 }
 
 void TimingGraph::retime() {

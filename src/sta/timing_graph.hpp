@@ -8,12 +8,13 @@
 // edges are the cells' characterized timing arcs.
 //
 // The graph is *incrementally updatable*: after a local netlist edit
-// (replace_gate resize, buffer insertion, sink rewiring) only the
-// affected fanout cone is re-levelized and re-timed through a
-// level-ordered worklist. The results are bit-for-bit identical to a
-// full rebuild because each node evaluation is a pure function of its
-// fanin arrivals/slews and the cached pin loads, and propagation stops
-// exactly where a full pass would have produced bitwise-unchanged values.
+// (resize_gate, buffer insertion, sink rewiring, or an undo through
+// GateNetlist::truncate) only the affected fanout cone is re-levelized and
+// re-timed through a level-ordered worklist. The results are bit-for-bit
+// identical to a full rebuild because each node evaluation is a pure
+// function of its fanin arrivals/slews and the cached pin loads, and
+// propagation stops exactly where a full pass would have produced
+// bitwise-unchanged values.
 #pragma once
 
 #include <cstdint>
@@ -44,14 +45,6 @@ class TimingGraph {
                        const StaOptions& options = {},
                        double target_delay = 0.0, WireLoads wires = {});
 
-  /// Rebind clone: copies every cached arrival/slew/load/level/arc table
-  /// from `other` but reads gates from `netlist` — which must be currently
-  /// identical to other's netlist (the usual source is a plain copy). No
-  /// NLDM evaluation happens; the parallel sizing shards and the buffering
-  /// pass use this to get a private graph over a private netlist copy at
-  /// memcpy cost instead of a full build.
-  TimingGraph(const TimingGraph& other, const flow::GateNetlist& netlist);
-
   /// Rebuilds every level, load, arrival, slew, required time and slack
   /// from scratch (also run by the constructor).
   void full_update();
@@ -69,6 +62,11 @@ class TimingGraph {
   void on_input_rewired(int gate_index, int pin, int old_net);
   /// A primary output moved from `old_net` to `new_net` (replace_output).
   void on_output_moved(int old_net, int new_net);
+  /// The netlist dropped its trailing gates and nets (GateNetlist::
+  /// truncate); `fanin_nets` is what truncate returned. Together with the
+  /// notifications above this undoes an edit in place: the opt:: passes
+  /// try each edit on the live netlist and graph and revert it on reject.
+  void on_truncated(const std::vector<int>& fanin_nets);
 
   /// Drains the dirty worklist and refreshes the summary + required times.
   /// Queries call this implicitly; exposed so benches can time it.
@@ -106,7 +104,7 @@ class TimingGraph {
   [[nodiscard]] const StaOptions& options() const { return options_; }
 
  private:
-  void grow_to_netlist();
+  void fit_nets_to_netlist();
   void eval_gate(int gate_index);
   void enqueue(int gate_index);
   void recompute_load(int net);

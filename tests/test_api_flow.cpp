@@ -436,7 +436,7 @@ TEST(ApiResult, DiagnosticsRollups) {
   EXPECT_NE(diags.to_string().find("error [sta] bad"), std::string::npos);
 }
 
-TEST(GateNetlist, ReplaceGateEnforcesInvariants) {
+TEST(GateNetlist, ResizeGateEnforcesInvariants) {
   const auto library = cnfet_library();
   flow::GateNetlist nl;
   const int in = nl.add_net("in");
@@ -446,21 +446,15 @@ TEST(GateNetlist, ReplaceGateEnforcesInvariants) {
   const auto& inv4 = library->find("INV_4X");
   nl.add_gate(flow::Gate{&inv1, {in}, out, "g"});
 
-  // Legal resize: same output net, different cell.
-  nl.replace_gate(0, flow::Gate{&inv4, {in}, out, "g"});
+  // Legal resize: same pins, different cell.
+  nl.resize_gate(0, &inv4);
   EXPECT_EQ(nl.gates()[0].cell, &inv4);
 
-  // Changing the output net would break the driver map.
-  EXPECT_THROW(nl.replace_gate(0, flow::Gate{&inv1, {in}, in, "g"}),
-               util::ContractViolation);
   // Pin arity must match the cell.
-  EXPECT_THROW(
-      nl.replace_gate(0, flow::Gate{&library->find("NAND2_1X"), {in}, out,
-                                    "g"}),
-      util::ContractViolation);
-  // Index must exist.
-  EXPECT_THROW(nl.replace_gate(5, flow::Gate{&inv1, {in}, out, "g"}),
+  EXPECT_THROW(nl.resize_gate(0, &library->find("NAND2_1X")),
                util::ContractViolation);
+  // Index must exist.
+  EXPECT_THROW(nl.resize_gate(5, &inv1), util::ContractViolation);
 }
 
 }  // namespace

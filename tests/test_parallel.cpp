@@ -11,11 +11,8 @@
 #include "api/batch.hpp"
 #include "api/library_cache.hpp"
 #include "cnt/analyzer.hpp"
-#include "gen/gen.hpp"
 #include "layout/cells.hpp"
 #include "liberty/library.hpp"
-#include "opt/opt.hpp"
-#include "sta/timing_graph.hpp"
 #include "util/parallel.hpp"
 
 namespace cnfet {
@@ -313,42 +310,6 @@ TEST(CharacterizationParallel, TablesBitIdenticalAcrossThreadCounts) {
         }
       }
     }
-  }
-}
-
-TEST(OptSizingParallel, ResultBitIdenticalAcrossThreadCounts) {
-  // The sharded candidate sweep must pick the same winners as the serial
-  // in-place sweep: ties break by (arrival, enumeration index) in both.
-  const auto library =
-      api::LibraryCache::global().get(layout::Tech::kCnfet65).value();
-  gen::GenOptions gen_options;
-  gen_options.family = gen::Family::kRandomDag;
-  gen_options.target_gates = 300;
-  gen_options.num_inputs = 16;
-  gen_options.seed = 7;
-  const auto design = gen::generate(*library, gen_options);
-
-  auto run = [&](int threads) {
-    auto netlist = design.netlist;
-    sta::TimingGraph graph(netlist);
-    opt::OptOptions options;
-    options.num_threads = threads;
-    options.max_sizing_rounds = 8;
-    opt::PassStats stats;
-    opt::size_gates(netlist, graph, *library, options,
-                    opt::total_area(netlist) * 1.25, &stats);
-    std::string cells;
-    for (const auto& gate : netlist.gates()) {
-      cells += gate.cell->name;
-      cells += ",";
-    }
-    return std::make_tuple(cells, graph.worst_arrival(),
-                           stats.gates_resized);
-  };
-  const auto serial = run(1);
-  EXPECT_GT(std::get<2>(serial), 0);  // the sweep actually resized gates
-  for (const int threads : {2, 8}) {
-    EXPECT_EQ(run(threads), serial) << threads << " threads";
   }
 }
 

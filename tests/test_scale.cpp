@@ -34,10 +34,6 @@ gen::Generated random_dag(int gates, int num_inputs, std::uint64_t seed) {
   return gen::generate(cnfet_library(), options);
 }
 
-std::string netlist_bytes(const flow::GateNetlist& netlist) {
-  return util::json::dump(api::to_json(netlist));
-}
-
 /// Two mutants of `netlist` at the first NAND2/NOR2 that drives a primary
 /// output: (a) that gate swapped for its dual, (b) its pin 0 rewired to a
 /// primary input it does not read.
@@ -131,35 +127,12 @@ TEST(ScaleTier, OptimizePreservesFunctionOnSampledVectors) {
     before.push_back(po_values(design.netlist, vec));
   }
 
-  opt::OptOptions options;
-  options.num_threads = 2;
-  const auto stats = opt::optimize(design.netlist, lib, options);
+  const auto stats = opt::optimize(design.netlist, lib);
   EXPECT_TRUE(stats.function_verified);  // 12 inputs: exhaustive recheck ran
   for (std::size_t i = 0; i < vectors.size(); ++i) {
     EXPECT_EQ(po_values(design.netlist, vectors[i]), before[i])
         << "vector " << i;
   }
-}
-
-TEST(ScaleTier, ShardedSizingIsBitIdenticalToSerial) {
-  const auto& lib = cnfet_library();
-  gen::GenOptions gopt;
-  gopt.family = gen::Family::kCarryLookaheadAdder;
-  gopt.width = 8;
-  auto serial = gen::generate(lib, gopt);
-  auto sharded = gen::generate(lib, gopt);
-
-  opt::OptOptions one;
-  one.num_threads = 1;
-  opt::OptOptions four;
-  four.num_threads = 4;
-  sta::StaResult serial_timing, sharded_timing;
-  (void)opt::optimize(serial.netlist, lib, one, &serial_timing);
-  (void)opt::optimize(sharded.netlist, lib, four, &sharded_timing);
-
-  EXPECT_EQ(netlist_bytes(serial.netlist), netlist_bytes(sharded.netlist));
-  EXPECT_EQ(serial_timing.worst_arrival, sharded_timing.worst_arrival);
-  EXPECT_EQ(serial_timing.critical_path, sharded_timing.critical_path);
 }
 
 // The one function check catches a dual swap and a rewired pin at a

@@ -708,9 +708,11 @@ json::Value with_item(const json::Value& array, std::size_t index,
 }
 
 /// A routed NAND3 session at Exported with its stored routing passed
-/// through `edit`.
+/// through `edit` and, when given, its stored placement through
+/// `edit_placement`.
 json::Value routed_session_with(
-    const std::function<void(json::Value& routing)>& edit) {
+    const std::function<void(json::Value& routing)>& edit,
+    const std::function<void(json::Value& placement)>& edit_placement = {}) {
   api::FlowOptions options;
   options.route = true;
   auto flow = api::Flow::from_cell("NAND3", options).value();
@@ -721,6 +723,13 @@ json::Value routed_session_with(
   edit(routing);
   routed.set("routing", std::move(routing));
   session.set("routed", std::move(routed));
+  if (edit_placement) {
+    json::Value placed = session.at("placed");
+    json::Value placement = placed.at("placement");
+    edit_placement(placement);
+    placed.set("placement", std::move(placement));
+    session.set("placed", std::move(placed));
+  }
   return session;
 }
 
@@ -787,37 +796,60 @@ TEST_F(ServeTest, HostileStoredGridIsRefusedWithinASecond) {
   // route::extract walks every wire in pitch steps. A 1 DBU pitch and a
   // wire across a 10^7 DBU grid cost 8-10 s of node insertions before the
   // stored pitch and grid were bounded by the router's own sizing rule.
-  const auto hostile = [](bool fine_pitch) {
-    return routed_session_with([fine_pitch](json::Value& routing) {
-      json::Value grid = routing.at("grid_bbox");
-      const std::int64_t lo_x = grid.at("lo_x").as_int64();
-      const std::int64_t y = grid.at("lo_y").as_int64();
-      grid.set("hi_x", lo_x + 10'000'000);
-      routing.set("grid_bbox", std::move(grid));
-      if (fine_pitch) routing.set("pitch", 1);
-      const json::Value& nets = routing.at("nets");
-      json::Value wire = json::Value::array();
-      for (const std::int64_t v : {std::int64_t{0}, lo_x, y,
-                                   lo_x + 10'000'000, y, std::int64_t{1}}) {
-        wire.push_back(v);
-      }
-      for (std::size_t n = 0; n < nets.size(); ++n) {
-        if (nets.at(n).at("wires").size() == 0) continue;
-        json::Value net = nets.at(n);
-        net.set("wires", with_item(net.at("wires"), 0, std::move(wire)));
-        routing.set("nets", with_item(nets, n, std::move(net)));
-        return;
-      }
-    });
+  // That bound scales with the stored placement: widened with it to
+  // 4*10^10 DBU at the rules' pitch, the session was accepted after 7.3 s
+  // until resume re-ran the placer and compared.
+  const auto hostile = [](std::int64_t span, bool fine_pitch,
+                          bool wide_placement) {
+    return routed_session_with(
+        [=](json::Value& routing) {
+          json::Value grid = routing.at("grid_bbox");
+          const std::int64_t lo_x = grid.at("lo_x").as_int64();
+          const std::int64_t y = grid.at("lo_y").as_int64();
+          grid.set("hi_x", lo_x + span);
+          routing.set("grid_bbox", std::move(grid));
+          if (fine_pitch) routing.set("pitch", 1);
+          const json::Value& nets = routing.at("nets");
+          json::Value wire = json::Value::array();
+          for (const std::int64_t v : {std::int64_t{0}, lo_x, y, lo_x + span,
+                                       y, std::int64_t{1}}) {
+            wire.push_back(v);
+          }
+          for (std::size_t n = 0; n < nets.size(); ++n) {
+            if (nets.at(n).at("wires").size() == 0) continue;
+            json::Value net = nets.at(n);
+            net.set("wires", with_item(net.at("wires"), 0, std::move(wire)));
+            routing.set("nets", with_item(nets, n, std::move(net)));
+            return;
+          }
+        },
+        [=](json::Value& placement) {
+          if (!wide_placement) return;
+          json::Value bbox = placement.at("bbox");
+          bbox.set("hi_x", bbox.at("hi_x").as_int64() + span);
+          placement.set("bbox", std::move(bbox));
+        });
   };
-  const json::Value fine_pitch = hostile(true);
-  const json::Value wide_grid = hostile(false);
+  const json::Value fine_pitch = hostile(10'000'000, true, false);
+  const json::Value wide_grid = hostile(10'000'000, false, false);
+  const json::Value wide_placement = hostile(40'000'000'000, false, true);
+  json::Value moved_instance = routed_session_with(
+      [](json::Value&) {},
+      [](json::Value& placement) {
+        const json::Value& instances = placement.at("instances");
+        json::Value instance = instances.at(std::size_t{1});
+        instance.set("x", instance.at("x").as_int64() + 4'000);
+        placement.set("instances",
+                      with_item(instances, 1, std::move(instance)));
+      });
 
   const int port = start();
   auto c = client(port);
   const std::vector<std::pair<const json::Value*, std::string>> refused = {
       {&fine_pitch, "routing pitch 1 is not the rules' route pitch"},
       {&wide_grid, "routing grid is larger than the router builds"},
+      {&wide_placement, "stored placement bbox differs from the placer's"},
+      {&moved_instance, "stored placement instance 1 (gate "},
   };
   for (const auto& [session, message] : refused) {
     SCOPED_TRACE(message);

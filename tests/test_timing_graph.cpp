@@ -1,8 +1,9 @@
 // Tests of the pin-level incremental timing graph and the opt:: passes:
 // bit-for-bit incremental==full equivalence under randomized edit
 // sequences on the paper's circuits, slack/required-time invariants, the
-// STA bugfixes (critical-input energy, lowest-net-id tie-break), and
-// functional equivalence through the optimization pipeline.
+// STA bugfixes (critical-input energy, lowest-net-id tie-break),
+// functional equivalence through the optimization pipeline, and the
+// in-place undo of rejected buffer trials (GateNetlist::truncate).
 #include <gtest/gtest.h>
 
 #include <ctime>
@@ -79,9 +80,7 @@ void random_resize(GateNetlist& nl, sta::TimingGraph& graph,
   const auto family =
       library.drives_of(liberty::Library::base_name(original.cell->name));
   ASSERT_FALSE(family.empty());
-  Gate resized = original;
-  resized.cell = family[rng() % family.size()].cell;
-  nl.replace_gate(g, std::move(resized));
+  nl.resize_gate(g, family[rng() % family.size()].cell);
   graph.on_gate_replaced(g);
 }
 
@@ -242,9 +241,7 @@ TEST(TimingGraph, IncrementalRetimeTouchesOnlyTheCone) {
   // drivers whose loads changed — not the whole graph.
   const int sum_gate = adder.driver_index(adder.outputs()[0]);
   ASSERT_GE(sum_gate, 0);
-  Gate resized = adder.gates()[static_cast<std::size_t>(sum_gate)];
-  resized.cell = &library.find("NAND2_4X");
-  adder.replace_gate(sum_gate, std::move(resized));
+  adder.resize_gate(sum_gate, &library.find("NAND2_4X"));
   graph.on_gate_replaced(sum_gate);
   (void)graph.worst_arrival();
   const auto delta = graph.stats().gates_evaluated - full_evals;
@@ -422,6 +419,125 @@ TEST(OptPasses, FanoutSplittingKeepsFunction) {
           << "row " << row << " output " << o;
     }
   }
+}
+
+/// Every field a rejected trial must restore: gates, net names, ports and
+/// each net's driver and fanout list.
+void expect_same_netlist(const GateNetlist& actual,
+                         const GateNetlist& expected) {
+  ASSERT_EQ(actual.gates().size(), expected.gates().size());
+  for (std::size_t g = 0; g < expected.gates().size(); ++g) {
+    const Gate& a = actual.gates()[g];
+    const Gate& e = expected.gates()[g];
+    EXPECT_EQ(a.cell, e.cell) << e.name;
+    EXPECT_EQ(a.inputs, e.inputs) << e.name;
+    EXPECT_EQ(a.output, e.output) << e.name;
+    EXPECT_EQ(a.name, e.name);
+  }
+  ASSERT_EQ(actual.num_nets(), expected.num_nets());
+  for (int net = 0; net < expected.num_nets(); ++net) {
+    EXPECT_EQ(actual.net_name(net), expected.net_name(net));
+    EXPECT_EQ(actual.driver_index(net), expected.driver_index(net)) << net;
+    EXPECT_EQ(actual.fanout(net), expected.fanout(net)) << net;
+  }
+  EXPECT_EQ(actual.inputs(), expected.inputs());
+  EXPECT_EQ(actual.outputs(), expected.outputs());
+}
+
+TEST(OptPasses, RejectedBufferTrialsLeaveNetlistAndGraphAsTheyWere) {
+  const auto& library = cnfet_library();
+  // A strong inverter fans out to four weak ones that reconverge on one
+  // unloaded NAND2 port: neither buffering the port nor splitting x's
+  // fanout pays for two more inverter stages.
+  GateNetlist nl;
+  const int a = nl.add_net("A");
+  nl.mark_input(a);
+  const int x = nl.add_net("x");
+  nl.add_gate(Gate{&library.find("INV_4X"), {a}, x, "root"});
+  std::vector<int> leaves;
+  for (int i = 0; i < 4; ++i) {
+    leaves.push_back(nl.add_net("y" + std::to_string(i)));
+    nl.add_gate(Gate{&library.find("INV_1X"), {x}, leaves.back(),
+                     "leaf" + std::to_string(i)});
+  }
+  const auto& nand2 = library.find("NAND2_1X");
+  const int z0 = nl.add_net("z0");
+  nl.add_gate(Gate{&nand2, {leaves[0], leaves[1]}, z0, "z0"});
+  const int z1 = nl.add_net("z1");
+  nl.add_gate(Gate{&nand2, {leaves[2], leaves[3]}, z1, "z1"});
+  const int out = nl.add_net("out");
+  nl.add_gate(Gate{&nand2, {z0, z1}, out, "out"});
+  nl.mark_output(out);
+
+  opt::OptOptions options;
+  options.sta.output_load = 0.0;
+  options.verify_incremental = true;  // also cross-checks each undo
+  sta::TimingGraph graph(nl, options.sta);
+  const GateNetlist before = nl;
+  const double budget = opt::total_area(nl) * 4.0;
+  // The output-buffer trial alone, then again with x's fanout split.
+  std::uint64_t evaluated[2] = {};
+  for (const int threshold : {0, 4}) {
+    SCOPED_TRACE("fanout_buffer_threshold " + std::to_string(threshold));
+    options.fanout_buffer_threshold = threshold;
+    const auto start = graph.stats().gates_evaluated;
+    opt::PassStats stats;
+    opt::insert_buffers(nl, graph, library, options, budget, &stats);
+    evaluated[threshold == 0 ? 0 : 1] = graph.stats().gates_evaluated - start;
+    EXPECT_EQ(stats.buffers_inserted, 0);
+    expect_same_netlist(nl, before);
+    EXPECT_TRUE(graph.matches_full_rebuild());
+  }
+  EXPECT_GT(evaluated[0], 0U);            // the output trial ran
+  EXPECT_GT(evaluated[1], evaluated[0]);  // and so did the split
+}
+
+TEST(GateNetlistTruncate, RefusesToDropANetAKeptGateReadsOrAPort) {
+  const auto& inv = cnfet_library().find("INV_1X");
+  // IN -> x -> y (the port), then a trial pair x -> p -> b whose undo was
+  // left half done: b still feeds gy, or b is still the port.
+  const auto build = [&](bool with_pair) {
+    GateNetlist nl;
+    const int in = nl.add_net("IN");
+    nl.mark_input(in);
+    const int x = nl.add_net("x");
+    nl.add_gate(Gate{&inv, {in}, x, "gx"});
+    const int y = nl.add_net("y");
+    nl.add_gate(Gate{&inv, {x}, y, "gy"});
+    nl.mark_output(y);
+    if (with_pair) {
+      const int p = nl.add_net("p");
+      nl.add_gate(Gate{&inv, {x}, p, "gp"});
+      const int b = nl.add_net("b");
+      nl.add_gate(Gate{&inv, {p}, b, "gb"});
+    }
+    return nl;
+  };
+  auto read = build(true);
+  read.set_gate_input(1, 0, 4);
+  auto port = build(true);
+  port.replace_output(2, 4);
+  const std::vector<std::pair<GateNetlist*, std::string>> refused = {
+      {&read, "net b is read by a kept gate"},
+      {&port, "net b is a primary output"},
+  };
+  for (const auto& [nl, message] : refused) {
+    SCOPED_TRACE(message);
+    const GateNetlist before = *nl;
+    try {
+      (void)nl->truncate(2, 3);
+      ADD_FAILURE() << "truncate did not refuse";
+    } catch (const util::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+    expect_same_netlist(*nl, before);
+  }
+
+  // The whole undo: only x lost a reader, and the pair is gone.
+  auto undone = build(true);
+  EXPECT_EQ(undone.truncate(2, 3), std::vector<int>{1});
+  expect_same_netlist(undone, build(false));
 }
 
 TEST(LibertyDrives, DrivesOfEnumeratesTheFamily) {
