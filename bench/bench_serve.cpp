@@ -8,6 +8,11 @@
 //   * a deterministic scripted request mix (compiles across the cell
 //     family, sta, monte_carlo with a fixed seed, ping) over 4 concurrent
 //     client connections: throughput plus p50/p95/p99 latency.
+//   * the session fingerprint: the median warm NAND3 Flow::session_json()
+//     over the median compact dump of the characterized library, in the
+//     same run. The fingerprint is computed once per library, so a session
+//     costs a fraction of one dump (gated at <= 0.25 in
+//     scripts/check_perf.py); re-dumping per session would read above 1.
 //   * the byte-identity contract: served GDS bytes and FlowMetrics equal
 //     the direct api::Flow path for both technologies (exit 1 on any
 //     mismatch — identity is a hard requirement, speed is gated later).
@@ -165,6 +170,36 @@ int main() {
               "warm-vs-cold speedup %.1fx\n",
               kWarmReps, warm_p50, speedup);
 
+  // --- session_json against one library dump (in-run ratio) ---------------
+  // The two calls alternate, so host load falls on both alike. The first
+  // session_json, before the timed loop, computes the fingerprint.
+  constexpr int kSessionReps = 200;
+  std::vector<double> session_ms;
+  std::vector<double> dump_ms;
+  {
+    auto flow = api::Flow::from_cell("NAND3", {});
+    auto library = api::LibraryCache::global().get(layout::Tech::kCnfet65);
+    if (!flow.ok() || !flow.value().run(api::Stage::kExported).ok() ||
+        !library.ok() || !flow.value().session_json().ok()) {
+      std::fprintf(stderr, "session_json probe failed\n");
+      return 1;
+    }
+    for (int i = 0; i < kSessionReps; ++i) {
+      auto start = std::chrono::steady_clock::now();
+      if (!flow.value().session_json().ok()) return 1;
+      session_ms.push_back(ms_since(start));
+      start = std::chrono::steady_clock::now();
+      if (json::dump(api::to_json(*library.value())).empty()) return 1;
+      dump_ms.push_back(ms_since(start));
+    }
+  }
+  const double session_p50 = percentile(session_ms, 0.50);
+  const double dump_p50 = percentile(dump_ms, 0.50);
+  const double session_over_dump = session_p50 / dump_p50;
+  std::printf("warm NAND3 session_json p50 %.3f ms | library dump p50 "
+              "%.3f ms | ratio %.3f\n",
+              session_p50, dump_p50, session_over_dump);
+
   // --- scripted mix over 4 concurrent connections --------------------------
   // Every connection runs the same fixed script, so the load is
   // reproducible run to run (modulo scheduling).
@@ -247,6 +282,9 @@ int main() {
   serve_section.set("cold_compile_ms", cold_ms);
   serve_section.set("warm_served_p50_ms", warm_p50);
   serve_section.set("warm_vs_cold_speedup", speedup);
+  serve_section.set("session_json_p50_ms", session_p50);
+  serve_section.set("library_dump_p50_ms", dump_p50);
+  serve_section.set("session_json_over_library_dump", session_over_dump);
   serve_section.set("mix_connections", kConnections);
   serve_section.set("mix_requests", static_cast<int>(mix_ms.size()));
   serve_section.set("mix_wall_ms", mix_wall_ms);

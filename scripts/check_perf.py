@@ -222,6 +222,10 @@ def main() -> int:
         check_floor("serve.warm_vs_cold_speedup",
                     serve["warm_vs_cold_speedup"],
                     baseline["serve"]["floor"])
+        check_ceiling("serve.session_json_over_library_dump",
+                      serve["session_json_over_library_dump"],
+                      baseline["serve"]["max_session_json_over_library_dump"],
+                      unit="x")
 
         for section, flag in [
             ("transient_single_arc", "within_tolerance"),

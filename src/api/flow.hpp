@@ -318,15 +318,19 @@ class Flow {
 
   /// The flow.json payload save() wraps in the artifact envelope, as an
   /// in-memory value — what the cnfetd compile server ships over the wire
-  /// so a served session is byte-identical to a locally saved one.
+  /// so a served session is byte-identical to a locally saved one. It
+  /// carries the library fingerprint (fnv1a64 of the library's compact
+  /// dump), which is computed once per library and then reused, so a
+  /// session costs its own design only.
   [[nodiscard]] util::Result<util::json::Value> session_json() const;
 
   /// Rebuilds a session saved by save(). The characterized library is
   /// re-resolved through LibraryCache::global() for the saved technology
   /// (characterization is deterministic, so the reconstruction is exact)
-  /// and validated against the saved library fingerprint — a session
-  /// built with a custom FlowOptions::library is refused rather than
-  /// silently rebound to different NLDM tables. The Exported artifact,
+  /// and validated against the saved library fingerprint (computed once
+  /// per library, as session_json() does) — a session built with a
+  /// custom FlowOptions::library is refused rather than silently rebound
+  /// to different NLDM tables. The Exported artifact,
   /// when present, is regenerated from the saved placement, which
   /// reproduces the identical GDS stream. Schema-version or checksum
   /// mismatches come back as error Diagnostics.

@@ -5,6 +5,9 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -833,8 +836,19 @@ void Reader::operator()(const json::Value& v,
 }
 
 /// Fingerprint of a characterized library: what a session is bound to.
-std::string library_checksum(const liberty::Library& library) {
-  return json::fnv1a64_hex(json::dump(Writer{}(library)));
+/// A library is immutable once characterized, so each live library is
+/// dumped and hashed once. The memo is keyed by owner: a freed library
+/// whose address is reused cannot inherit a stale checksum.
+std::string library_checksum(const LibraryHandle& library) {
+  static std::mutex mutex;
+  static std::map<std::weak_ptr<const liberty::Library>, std::string,
+                  std::owner_less<>>
+      memo;
+  const std::lock_guard lock(mutex);
+  if (const auto it = memo.find(library); it != memo.end()) return it->second;
+  std::erase_if(memo, [](const auto& entry) { return entry.first.expired(); });
+  std::string checksum = json::fnv1a64_hex(json::dump(Writer{}(*library)));
+  return memo.emplace(library, std::move(checksum)).first->second;
 }
 
 // --- whole files ------------------------------------------------------------
@@ -1128,7 +1142,7 @@ util::Result<util::json::Value> Flow::session_json() const {
     // (non-default grid, style, scheme) never silently rebinds its gates
     // to cells with different NLDM tables.
     const SessionHeader header{name_, stage_, options_,
-                               library_checksum(*library_)};
+                               library_checksum(library_)};
     fields(header, f);
     artifact_fields(*this, f);
     return payload;
@@ -1150,7 +1164,7 @@ util::Result<Flow> Flow::resume_json(const json::Value& payload,
     auto header = Reader{}.read<SessionHeader>(payload);
     auto library = LibraryCache::global().get(header.options.tech);
     if (!library.ok()) return library.error();
-    const std::string checksum = library_checksum(*library.value());
+    const std::string checksum = library_checksum(library.value());
     if (checksum != header.library_checksum) {
       return util::Result<Flow>::failure(
           "serialize",

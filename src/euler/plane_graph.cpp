@@ -1,7 +1,6 @@
 #include "euler/plane_graph.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "util/error.hpp"
 
@@ -51,18 +50,16 @@ std::vector<PlaneEdge> plane_edges(const netlist::CellNetlist& cell,
   return edges;
 }
 
-namespace {
-
-std::map<NetId, int> degrees(const std::vector<PlaneEdge>& edges) {
-  std::map<NetId, int> deg;
+std::vector<int> degrees(const std::vector<PlaneEdge>& edges) {
+  NetId top = -1;
+  for (const auto& e : edges) top = std::max({top, e.u, e.v});
+  std::vector<int> deg(static_cast<std::size_t>(top + 1), 0);
   for (const auto& e : edges) {
-    ++deg[e.u];
-    ++deg[e.v];
+    ++deg[static_cast<std::size_t>(e.u)];
+    ++deg[static_cast<std::size_t>(e.v)];
   }
   return deg;
 }
-
-}  // namespace
 
 bool contact_worthy(NetId v, int degree) {
   // Rails and the output always take metal; otherwise anything that is not
@@ -73,11 +70,9 @@ bool contact_worthy(NetId v, int degree) {
 }
 
 int count_odd_vertices(const std::vector<PlaneEdge>& edges) {
-  int odd = 0;
-  for (const auto& [net, d] : degrees(edges)) {
-    if (d % 2 != 0) ++odd;
-  }
-  return odd;
+  const auto deg = degrees(edges);
+  return static_cast<int>(
+      std::count_if(deg.begin(), deg.end(), [](int d) { return d % 2 != 0; }));
 }
 
 int min_trail_count(const std::vector<PlaneEdge>& edges) {
@@ -91,7 +86,7 @@ namespace {
 /// `max_breaks` breaks; first solution (deterministic edge order) wins.
 struct SinglePlaneSearch {
   const std::vector<PlaneEdge>& edges;
-  std::map<NetId, int> deg;
+  std::vector<int> deg;
   std::vector<bool> used;
   std::vector<Trail> trails;
   int breaks_left = 0;
@@ -154,17 +149,21 @@ PlaneOrder euler_decompose(const std::vector<PlaneEdge>& edges) {
     // begin at VDD/GND like the paper's figures.
     std::vector<NetId> starts;
     const auto deg = degrees(edges);
-    for (const auto& [net, d] : deg) {
-      if (d % 2 != 0) starts.push_back(net);  // odd vertices must be ends
+    for (std::size_t v = 0; v < deg.size(); ++v) {
+      // Odd vertices must be ends.
+      if (deg[v] % 2 != 0) starts.push_back(static_cast<NetId>(v));
     }
     if (starts.empty()) {
       // Eulerian circuit: prefer rotations starting on a contact-worthy
       // vertex so the strip can terminate there.
-      for (const auto& [net, d] : deg) {
-        if (contact_worthy(net, d)) starts.push_back(net);
+      for (std::size_t v = 0; v < deg.size(); ++v) {
+        const auto net = static_cast<NetId>(v);
+        if (deg[v] > 0 && contact_worthy(net, deg[v])) starts.push_back(net);
       }
       if (starts.empty()) {
-        for (const auto& [net, d] : deg) starts.push_back(net);
+        for (std::size_t v = 0; v < deg.size(); ++v) {
+          if (deg[v] > 0) starts.push_back(static_cast<NetId>(v));
+        }
       }
     }
     std::sort(starts.begin(), starts.end(),
@@ -189,23 +188,58 @@ PlaneOrder euler_decompose(const std::vector<PlaneEdge>& edges) {
 
 namespace {
 
+/// One plane's side of the joint search, with its degrees in flat tables
+/// indexed by NetId.
+struct SearchPlane {
+  const std::vector<PlaneEdge>& edges;
+  std::vector<int> deg;
+  std::vector<char> worthy;  ///< contact_worthy per NetId
+  std::vector<char> used;
+  std::vector<Trail> trails;
+
+  explicit SearchPlane(const std::vector<PlaneEdge>& e)
+      : edges(e), deg(degrees(e)), used(e.size(), 0) {
+    worthy.resize(deg.size());
+    for (std::size_t v = 0; v < deg.size(); ++v) {
+      worthy[v] = contact_worthy(static_cast<NetId>(v), deg[v]);
+    }
+  }
+
+  /// Strips start on contacts: the contact-worthy nets, only the odd ones
+  /// when there are any, `preferred` first and otherwise in NetId order.
+  [[nodiscard]] std::vector<NetId> starts(NetId preferred) const {
+    std::vector<NetId> odd, all;
+    for (std::size_t v = 0; v < deg.size(); ++v) {
+      if (deg[v] == 0 || !worthy[v]) continue;
+      all.push_back(static_cast<NetId>(v));
+      if (deg[v] % 2 != 0) odd.push_back(static_cast<NetId>(v));
+    }
+    std::vector<NetId>& pool = odd.empty() ? all : odd;
+    std::stable_partition(pool.begin(), pool.end(),
+                          [&](NetId v) { return v == preferred; });
+    return pool;
+  }
+
+  void reset(NetId start) {
+    std::fill(used.begin(), used.end(), 0);
+    trails.resize(1);
+    trails[0] = Trail{start, {}};
+  }
+
+  [[nodiscard]] NetId current() const {
+    const Trail& t = trails.back();
+    if (t.steps.empty()) return t.start;
+    const auto& s = t.steps.back();
+    const auto& e = edges[static_cast<std::size_t>(s.edge)];
+    return s.forward ? e.v : e.u;
+  }
+};
+
 /// Joint two-plane search state: both planes consume edges with identical
 /// gate labels in lock step.
 struct JointSearch {
-  const std::vector<PlaneEdge>& pun;
-  const std::vector<PlaneEdge>& pdn;
-  std::map<NetId, int> deg_pun, deg_pdn;
-  std::vector<bool> used_pun, used_pdn;
-  std::vector<Trail> trails_pun, trails_pdn;
+  SearchPlane pun, pdn;
   int breaks_left = 0;
-
-  JointSearch(const std::vector<PlaneEdge>& up, const std::vector<PlaneEdge>& dn)
-      : pun(up),
-        pdn(dn),
-        deg_pun(degrees(up)),
-        deg_pdn(degrees(dn)),
-        used_pun(up.size(), false),
-        used_pdn(dn.size(), false) {}
 
   /// Candidate next uses of an unused edge in one plane: continuing the open
   /// trail costs nothing; opening a new trail costs one break.
@@ -214,112 +248,96 @@ struct JointSearch {
     bool forward = true;
     bool breaks = false;
   };
+  /// One move buffer per search depth and plane.
+  std::vector<std::vector<Move>> moves_pun, moves_pdn;
 
-  static void candidate_moves(const std::vector<PlaneEdge>& edges,
-                              const std::map<NetId, int>& deg,
-                              const std::vector<bool>& used, NetId at,
+  JointSearch(const std::vector<PlaneEdge>& up, const std::vector<PlaneEdge>& dn)
+      : pun(up), pdn(dn), moves_pun(up.size()), moves_pdn(up.size()) {}
+
+  /// Runs the search from one pair of strip starts within `budget` breaks.
+  bool run(NetId start_pun, NetId start_pdn, int budget) {
+    pun.reset(start_pun);
+    pdn.reset(start_pdn);
+    breaks_left = budget;
+    return step(0);
+  }
+
+  /// Non-breaking moves first so cheap solutions are found early; each
+  /// group keeps edge order.
+  static void candidate_moves(const SearchPlane& plane, NetId at,
                               bool allow_break, int want_gate,
                               std::vector<Move>& out) {
     out.clear();
+    const auto& edges = plane.edges;
+    const auto wanted = [&](std::size_t i) {
+      return !plane.used[i] &&
+             (want_gate < 0 || edges[i].gate_input == want_gate);
+    };
     for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (used[i]) continue;
-      const auto& e = edges[i];
-      if (want_gate >= 0 && e.gate_input != want_gate) continue;
+      if (!wanted(i)) continue;
       for (const bool forward : {true, false}) {
-        const NetId from = forward ? e.u : e.v;
-        if (from == at) {
+        if ((forward ? edges[i].u : edges[i].v) == at) {
           out.push_back({static_cast<int>(i), forward, false});
-        } else if (allow_break && contact_worthy(at, deg.at(at)) &&
-                   contact_worthy(from, deg.at(from))) {
-          // A break leaves a contact at the stuck end and opens a new strip
-          // segment at `from`: both must be contact-worthy nets.
+        }
+      }
+    }
+    // A break leaves a contact at the stuck end and opens a new strip
+    // segment at `from`: both must be contact-worthy nets.
+    if (!allow_break || !plane.worthy[static_cast<std::size_t>(at)]) return;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      if (!wanted(i)) continue;
+      for (const bool forward : {true, false}) {
+        const NetId from = forward ? edges[i].u : edges[i].v;
+        if (from != at && plane.worthy[static_cast<std::size_t>(from)]) {
           out.push_back({static_cast<int>(i), forward, true});
         }
       }
     }
-    // Non-breaking moves first so cheap solutions are found early.
-    std::stable_sort(out.begin(), out.end(),
-                     [](const Move& a, const Move& b) {
-                       return a.breaks < b.breaks;
-                     });
   }
 
   bool step(std::size_t placed) {
-    if (placed == pun.size()) return true;
-    const NetId at_pun = trails_pun.back().steps.empty() && placed == 0
-                             ? trails_pun.back().start
-                             : current(trails_pun, pun);
-    const NetId at_pdn = trails_pdn.back().steps.empty() && placed == 0
-                             ? trails_pdn.back().start
-                             : current(trails_pdn, pdn);
-
-    std::vector<Move> moves_pun;
-    candidate_moves(pun, deg_pun, used_pun, at_pun, breaks_left > 0, -1,
-                    moves_pun);
-    std::vector<Move> moves_pdn;
-    for (const Move& mu : moves_pun) {
-      const int gate = pun[static_cast<std::size_t>(mu.edge)].gate_input;
+    if (placed == pun.edges.size()) return true;
+    const NetId at_pun = pun.current();
+    const NetId at_pdn = pdn.current();
+    std::vector<Move>& up_moves = moves_pun[placed];
+    std::vector<Move>& dn_moves = moves_pdn[placed];
+    candidate_moves(pun, at_pun, breaks_left > 0, -1, up_moves);
+    for (const Move& mu : up_moves) {
+      const int gate =
+          pun.edges[static_cast<std::size_t>(mu.edge)].gate_input;
       const int budget_after_pun = breaks_left - (mu.breaks ? 1 : 0);
       if (budget_after_pun < 0) continue;
-      candidate_moves(pdn, deg_pdn, used_pdn, at_pdn, budget_after_pun > 0,
-                      gate, moves_pdn);
-      for (const Move& md : moves_pdn) {
+      candidate_moves(pdn, at_pdn, budget_after_pun > 0, gate, dn_moves);
+      for (const Move& md : dn_moves) {
         const int cost = (mu.breaks ? 1 : 0) + (md.breaks ? 1 : 0);
         if (cost > breaks_left) continue;
-        apply(trails_pun, used_pun, pun, mu);
-        apply(trails_pdn, used_pdn, pdn, md);
+        apply(pun, mu);
+        apply(pdn, md);
         breaks_left -= cost;
         if (step(placed + 1)) return true;
         breaks_left += cost;
-        undo(trails_pun, used_pun, mu);
-        undo(trails_pdn, used_pdn, md);
+        undo(pun, mu);
+        undo(pdn, md);
       }
     }
     return false;
   }
 
-  static NetId current(const std::vector<Trail>& trails,
-                       const std::vector<PlaneEdge>& edges) {
-    const Trail& t = trails.back();
-    if (t.steps.empty()) return t.start;
-    const auto& s = t.steps.back();
-    const auto& e = edges[static_cast<std::size_t>(s.edge)];
-    return s.forward ? e.v : e.u;
-  }
-
-  static void apply(std::vector<Trail>& trails, std::vector<bool>& used,
-                    const std::vector<PlaneEdge>& edges, const Move& m) {
-    const auto& e = edges[static_cast<std::size_t>(m.edge)];
+  static void apply(SearchPlane& plane, const Move& m) {
+    const auto& e = plane.edges[static_cast<std::size_t>(m.edge)];
     const NetId from = m.forward ? e.u : e.v;
-    if (m.breaks) trails.push_back(Trail{from, {}});
-    if (trails.back().steps.empty()) trails.back().start = from;
-    trails.back().steps.push_back({m.edge, m.forward});
-    used[static_cast<std::size_t>(m.edge)] = true;
+    if (m.breaks) plane.trails.push_back(Trail{from, {}});
+    if (plane.trails.back().steps.empty()) plane.trails.back().start = from;
+    plane.trails.back().steps.push_back({m.edge, m.forward});
+    plane.used[static_cast<std::size_t>(m.edge)] = 1;
   }
 
-  static void undo(std::vector<Trail>& trails, std::vector<bool>& used,
-                   const Move& m) {
-    used[static_cast<std::size_t>(m.edge)] = false;
-    trails.back().steps.pop_back();
-    if (m.breaks) trails.pop_back();
+  static void undo(SearchPlane& plane, const Move& m) {
+    plane.used[static_cast<std::size_t>(m.edge)] = 0;
+    plane.trails.back().steps.pop_back();
+    if (m.breaks) plane.trails.pop_back();
   }
 };
-
-std::vector<NetId> start_candidates(const std::vector<PlaneEdge>& edges,
-                                    NetId preferred) {
-  const auto deg = degrees(edges);
-  std::vector<NetId> odd, all;
-  for (const auto& [net, d] : deg) {
-    if (!contact_worthy(net, d)) continue;  // strips start on contacts
-    all.push_back(net);
-    if (d % 2 != 0) odd.push_back(net);
-  }
-  std::vector<NetId>& pool = odd.empty() ? all : odd;
-  std::stable_sort(pool.begin(), pool.end(), [&](NetId a, NetId b) {
-    return (a == preferred) > (b == preferred);
-  });
-  return pool;
-}
 
 }  // namespace
 
@@ -328,28 +346,28 @@ std::optional<CommonOrdering> find_common_ordering(
   CNFET_REQUIRE(!pun.empty() && !pdn.empty());
   // Same gate-label multiset is required for a common ordering.
   {
-    std::map<int, int> cu, cd;
-    for (const auto& e : pun) ++cu[e.gate_input];
-    for (const auto& e : pdn) ++cd[e.gate_input];
-    if (cu != cd) return std::nullopt;
+    const auto labels = [](const std::vector<PlaneEdge>& edges) {
+      std::vector<int> gates;
+      for (const auto& e : edges) gates.push_back(e.gate_input);
+      std::sort(gates.begin(), gates.end());
+      return gates;
+    };
+    if (labels(pun) != labels(pdn)) return std::nullopt;
   }
 
+  JointSearch search(pun, pdn);
   const int floor_breaks =
       (min_trail_count(pun) - 1) + (min_trail_count(pdn) - 1);
   const int max_breaks = static_cast<int>(pun.size() + pdn.size());
+  const auto starts_pun = search.pun.starts(netlist::CellNetlist::kVdd);
+  const auto starts_pdn = search.pdn.starts(netlist::CellNetlist::kOut);
   for (int budget = floor_breaks; budget <= max_breaks; ++budget) {
-    for (const NetId start_pun :
-         start_candidates(pun, netlist::CellNetlist::kVdd)) {
-      for (const NetId start_pdn :
-           start_candidates(pdn, netlist::CellNetlist::kOut)) {
-        JointSearch search(pun, pdn);
-        search.breaks_left = budget;
-        search.trails_pun.push_back(Trail{start_pun, {}});
-        search.trails_pdn.push_back(Trail{start_pdn, {}});
-        if (search.step(0)) {
+    for (const NetId start_pun : starts_pun) {
+      for (const NetId start_pdn : starts_pdn) {
+        if (search.run(start_pun, start_pdn, budget)) {
           CommonOrdering result;
-          result.pun.trails = std::move(search.trails_pun);
-          result.pdn.trails = std::move(search.trails_pdn);
+          result.pun.trails = std::move(search.pun.trails);
+          result.pdn.trails = std::move(search.pdn.trails);
           result.gate_sequence = result.pun.gate_sequence(pun);
           CNFET_REQUIRE(result.gate_sequence ==
                         result.pdn.gate_sequence(pdn));

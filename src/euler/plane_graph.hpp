@@ -61,6 +61,10 @@ struct PlaneOrder {
 [[nodiscard]] std::vector<PlaneEdge> plane_edges(
     const netlist::CellNetlist& cell, netlist::FetType type);
 
+/// Degree of every net, indexed by NetId up to the largest one the edges
+/// touch (0 for nets they do not touch; a self-loop counts twice).
+[[nodiscard]] std::vector<int> degrees(const std::vector<PlaneEdge>& edges);
+
 /// True when net `v` can carry a metal contact on a strip: rails and the
 /// output always can; internal nets everywhere except pure series points
 /// (degree exactly 2). Trail endpoints must be contact-worthy — a strip

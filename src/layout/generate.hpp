@@ -50,9 +50,4 @@ struct PlanePlan {
 [[nodiscard]] PlanePlan plan_planes(const netlist::CellNetlist& cell,
                                     LayoutStyle style);
 
-/// True when net `v` requires a metal contact on the strip: rails and the
-/// output always do; internal nets only at junctions (degree >= 3). Pure
-/// series internal nets are silicon-only diffusion points.
-[[nodiscard]] bool needs_contact(netlist::NetId v, int degree);
-
 }  // namespace cnfet::layout

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -133,25 +134,42 @@ const std::string& Value::get_string(const std::string& key) const {
   return at(key).as_string();
 }
 
-std::string format_number(double value) {
+namespace {
+
+/// Appends `value` as dump() writes it.
+void append_number(double value, std::string* out) {
   if (!std::isfinite(value)) {
     throw Error("json: NaN/infinity cannot be serialized");
   }
-  // Integral doubles inside the exact-integer range print without a
-  // fraction (net ids, counts, grid sizes stay readable); everything else
-  // gets 17 significant digits, which strtod maps back to the identical
-  // bit pattern.
+  // Every number is written as printf's "%.17g" would write it: 17
+  // significant digits, which strtod maps back to the identical bit
+  // pattern. Integral doubles inside the exact-integer range (net ids,
+  // counts, grid sizes) take the faster integer conversion, which gives
+  // the same digits; to_chars in general format at precision 17 gives
+  // "%.17g" for the rest.
+  char buf[32];
+  std::to_chars_result written{};
   if (value == std::floor(value) && std::fabs(value) <= 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
     // Preserve the sign of -0.0: "-0" parses back to the negative zero.
-    if (value == 0.0 && std::signbit(value)) return "-0";
-    return buf;
+    if (value == 0.0 && std::signbit(value)) {
+      out->append("-0");
+      return;
+    }
+    written = std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<long long>(value));
+  } else {
+    written = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, 17);
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  out->append(buf, written.ptr);
+}
+
+}  // namespace
+
+std::string format_number(double value) {
+  std::string out;
+  append_number(value, &out);
+  return out;
 }
 
 namespace {
@@ -209,7 +227,7 @@ void dump_into(const Value& v, int indent, int depth, std::string* out) {
       *out += v.as_bool() ? "true" : "false";
       break;
     case Value::Kind::kNumber:
-      *out += format_number(v.as_double());
+      append_number(v.as_double(), out);
       break;
     case Value::Kind::kString:
       escape_into(v.as_string(), out);

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -571,6 +572,63 @@ TEST(FlowSession, CustomLibrarySessionIsRefusedNotSilentlyRebound) {
   const auto resumed = api::Flow::resume(dir);
   ASSERT_FALSE(resumed.ok());
   EXPECT_NE(resumed.error().message.find("library"), std::string::npos);
+}
+
+// A session binds to its library by the fnv1a64 of the library's compact
+// dump, computed once per library. Every kind of handle carries that
+// fingerprint, and a freed library's fingerprint never sticks to the
+// library built after it.
+TEST(FlowSession, SessionChecksumIsTheLibraryDumpForEveryKindOfHandle) {
+  const auto session_checksum = [](const api::LibraryHandle& library) {
+    api::FlowOptions options;
+    options.library = library;
+    const auto flow = api::Flow::from_cell("INV", options).value();
+    const auto payload = flow.session_json();
+    EXPECT_TRUE(payload.ok());
+    return payload.value().get_string("library_checksum");
+  };
+  const auto dump_checksum = [](const api::LibraryHandle& library) {
+    return json::fnv1a64_hex(json::dump(api::to_json(*library)));
+  };
+  const auto cached = cnfet_library();
+  const auto path = temp_dir("checksum_handles") + "/library.json";
+  ASSERT_TRUE(api::save_library(*cached, path).ok());
+  const auto loaded = api::load_library(path).value();
+  ASSERT_NE(loaded.get(), cached.get());
+  EXPECT_EQ(session_checksum(cached), dump_checksum(cached));
+  EXPECT_EQ(session_checksum(loaded), dump_checksum(loaded));
+  EXPECT_EQ(session_checksum(loaded), session_checksum(cached));
+
+  const auto subset = [&](std::initializer_list<const char*> bases) {
+    std::vector<liberty::LibCell> cells;
+    for (const auto& cell : cached->cells()) {
+      for (const char* base : bases) {
+        if (liberty::Library::base_name(cell.name) == base) {
+          cells.push_back(cell);
+        }
+      }
+    }
+    return liberty::Library(cells);
+  };
+  // Free a hand-built library, then build a different one: the new session
+  // carries the new library's fingerprint, also when the allocator hands
+  // the new library the freed one's address (the loop ends once it has).
+  auto previous = std::make_shared<const liberty::Library>(subset({"INV"}));
+  std::string previous_checksum = session_checksum(previous);
+  EXPECT_EQ(previous_checksum, dump_checksum(previous));
+  bool address_reused = false;
+  for (int round = 0; round < 8 && !address_reused; ++round) {
+    liberty::Library next = round % 2 == 0 ? subset({"INV", "NAND2"})
+                                           : subset({"INV"});
+    const auto freed = reinterpret_cast<std::uintptr_t>(previous.get());
+    previous.reset();  // free the block before the next one is allocated
+    previous = std::make_shared<const liberty::Library>(std::move(next));
+    address_reused = reinterpret_cast<std::uintptr_t>(previous.get()) == freed;
+    const std::string checksum = session_checksum(previous);
+    EXPECT_EQ(checksum, dump_checksum(previous)) << "round " << round;
+    EXPECT_NE(checksum, previous_checksum) << "round " << round;
+    previous_checksum = checksum;
+  }
 }
 
 TEST(Serialize, MonteCarloResultRoundTripsExactly) {

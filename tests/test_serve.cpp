@@ -621,6 +621,39 @@ TEST(ServeExecute, BatchJobCountIsCappedBeforeAnyJobIsBuilt) {
       << diagnostics_of(at_limit);
 }
 
+// Pool workers share each library, and its fingerprint is computed once
+// per library. Eight threads building sessions on one new handle at the
+// same moment must all read the fingerprint a fresh dump gives.
+TEST(ServeExecute, ConcurrentSessionsOnANewLibraryShareOneChecksum) {
+  const auto cached =
+      api::LibraryCache::global().get(layout::Tech::kCnfet65).value();
+  api::FlowOptions options;
+  options.library = std::make_shared<const liberty::Library>(*cached);
+  constexpr int kThreads = 8;
+  std::vector<api::Flow> flows;
+  for (int t = 0; t < kThreads; ++t) {
+    flows.push_back(api::Flow::from_cell("NAND3", options).value());
+  }
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::string> checksums(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      const auto payload = flows[static_cast<std::size_t>(t)].session_json();
+      if (payload.ok()) {
+        checksums[static_cast<std::size_t>(t)] =
+            payload.value().get_string("library_checksum");
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const std::string expected =
+      json::fnv1a64_hex(json::dump(api::to_json(*options.library)));
+  for (const auto& checksum : checksums) EXPECT_EQ(checksum, expected);
+}
+
 TEST_F(ServeTest, GenNamesTheTopAfterTheDesignUnlessTopNamesAnother) {
   const int port = start();
   auto c = client(port);
